@@ -236,59 +236,6 @@ BENCHMARK(BM_FrozenTableLookup)
     ->Threads(8)
     ->UseRealTime();
 
-/**
- * Batched hot path: the same stream drained block-at-a-time through
- * FrozenTable::lookupBatch (type grouping + index prefetch +
- * column-wise key compare). ns/item is the amortized per-event cost;
- * the Arg is the block size. Single-threaded: the batch path's win
- * is per-core, the scaling story is the scalar bench's.
- */
-void
-BM_FrozenTableLookupBatch(benchmark::State &state)
-{
-    Fixture &f = fixture();
-    const core::FrozenTable &table = *f.frozen;
-    const games::Game &game = *f.game;
-    const size_t batch = static_cast<size_t>(state.range(0));
-    const size_t n = f.events.size();
-    core::BatchLookupScratch scratch;
-    scratch.gather = f.sizedScratch();
-    std::vector<core::FrozenLookup> out(batch);
-    // Warm over the whole stream once so every scratch vector
-    // reaches its high-water capacity before the timed loop.
-    for (size_t w = 0; w + batch <= n; w += batch)
-        table.lookupBatch({f.events.data() + w, batch}, game,
-                          {out.data(), batch}, scratch);
-
-    uint64_t hits = 0;
-    size_t i = 0;
-    uint64_t allocs_before = t_allocs;
-    for (auto _ : state) {
-        if (i + batch > n)
-            i = 0;
-        table.lookupBatch({f.events.data() + i, batch}, game,
-                          {out.data(), batch}, scratch);
-        i += batch;
-        for (size_t k = 0; k < batch; ++k)
-            hits += out[k].hit;
-        benchmark::DoNotOptimize(out.data());
-    }
-    uint64_t allocs = t_allocs - allocs_before;
-    if (allocs != 0)
-        g_alloc_violations.fetch_add(1, std::memory_order_relaxed);
-    state.counters["hit_rate"] = benchmark::Counter(
-        static_cast<double>(hits) /
-            static_cast<double>(state.iterations() * batch),
-        benchmark::Counter::kAvgThreads);
-    state.counters["allocs_per_iter"] = benchmark::Counter(
-        static_cast<double>(allocs) /
-            static_cast<double>(state.iterations()),
-        benchmark::Counter::kAvgThreads);
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_FrozenTableLookupBatch)->Arg(16)->Arg(64)->Arg(256);
-
 void
 BM_MemoTableInsert(benchmark::State &state)
 {
@@ -429,35 +376,14 @@ main(int argc, char **argv)
 {
     // Default to also emitting machine-readable JSON (the BENCH_*
     // trajectory file) unless the caller picked an output already.
-    // `--batch N` (ours, stripped before google-benchmark sees it)
-    // registers an extra BM_FrozenTableLookupBatch block size.
     bool has_out = false;
-    bool check_pipeline = false;
-    long extra_batch = 0;
     std::vector<char *> args;
     args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-            extra_batch = std::strtol(argv[++i], nullptr, 0);
-            if (extra_batch <= 0) {
-                std::fprintf(stderr, "--batch requires a positive "
-                                     "block size\n");
-                return 1;
-            }
-            continue;
-        }
-        if (std::strcmp(argv[i], "--pipeline") == 0) {
-            check_pipeline = true;
-            continue;
-        }
         if (std::strncmp(argv[i], "--benchmark_out", 15) == 0)
             has_out = true;
         args.push_back(argv[i]);
     }
-    if (extra_batch > 0)
-        benchmark::RegisterBenchmark("BM_FrozenTableLookupBatch",
-                                     BM_FrozenTableLookupBatch)
-            ->Arg(extra_batch);
     std::string out_flag = "--benchmark_out=BENCH_micro_lookup.json";
     std::string fmt_flag = "--benchmark_out_format=json";
     if (!has_out) {
@@ -515,167 +441,7 @@ main(int argc, char **argv)
                      "(hits, candidates, bytes, outputs)\n",
                      f.events.size());
 
-    // Self-check 3: the batched paths must be bitwise-identical to
-    // the scalar ones. (a) lookupBatch vs per-event lookup over
-    // every window of the stream (including the ragged tail);
-    // (b) SnipScheme::decideBatch vs the scalar decide/observe
-    // protocol, with the audit watchdog and online fill live.
-    uint64_t batch_mismatches = 0;
-    {
-        const size_t kBatch = 32;
-        core::BatchLookupScratch bs;
-        bs.gather = f.sizedScratch();
-        core::LookupScratch ss = f.sizedScratch();
-        std::vector<core::FrozenLookup> bout(kBatch);
-        for (size_t base = 0; base < f.events.size();
-             base += kBatch) {
-            size_t len =
-                std::min(kBatch, f.events.size() - base);
-            f.frozen->lookupBatch({f.events.data() + base, len},
-                                  *f.game, {bout.data(), len}, bs);
-            for (size_t k = 0; k < len; ++k) {
-                core::FrozenLookup sres = f.frozen->lookup(
-                    f.events[base + k], *f.game, ss);
-                const core::FrozenLookup &bres = bout[k];
-                bool same = sres.hit == bres.hit &&
-                            sres.candidates == bres.candidates &&
-                            sres.bytes_scanned == bres.bytes_scanned &&
-                            sres.entry_ordinal == bres.entry_ordinal &&
-                            sres.nout == bres.nout;
-                for (uint32_t o = 0; same && o < sres.nout; ++o)
-                    same = sres.out_ids[o] == bres.out_ids[o] &&
-                           sres.out_values[o] == bres.out_values[o];
-                if (!same)
-                    ++batch_mismatches;
-            }
-        }
-    }
-    {
-        core::SnipRuntimeConfig rcfg;
-        rcfg.online_fill = true;
-        rcfg.audit_every = 4;
-        core::SnipScheme scalar(f.model, rcfg);
-        core::SnipScheme batched(f.model, rcfg);
-        const size_t kBlock = 32;
-        std::vector<core::Decision> bdec(kBlock);
-        size_t nrec =
-            std::min(f.events.size(), f.profile.records.size());
-        for (size_t base = 0; base < nrec; base += kBlock) {
-            size_t len = std::min(kBlock, nrec - base);
-            batched.prepareBatch({f.events.data() + base, len});
-            batched.decideBatch(
-                *f.game, {f.events.data() + base, len},
-                {f.profile.records.data() + base, len},
-                {bdec.data(), len});
-            for (size_t k = 0; k < len; ++k) {
-                core::Decision sd = scalar.decide(
-                    *f.game, f.events[base + k],
-                    f.profile.records[base + k]);
-                if (!sd.shortcircuit)
-                    scalar.observe(f.profile.records[base + k]);
-                const core::Decision &bd = bdec[k];
-                bool same =
-                    sd.shortcircuit == bd.shortcircuit &&
-                    sd.outputs == bd.outputs &&
-                    sd.cpu_skip_fraction == bd.cpu_skip_fraction &&
-                    sd.skip_ips == bd.skip_ips &&
-                    sd.lookup_bytes == bd.lookup_bytes &&
-                    sd.lookup_candidates == bd.lookup_candidates &&
-                    sd.charge_lookup == bd.charge_lookup &&
-                    sd.lookup_ran == bd.lookup_ran &&
-                    sd.lookup_hit == bd.lookup_hit &&
-                    sd.audited == bd.audited;
-                if (!same)
-                    ++batch_mismatches;
-            }
-        }
-        if (scalar.hitCounts() != batched.hitCounts() ||
-            scalar.auditsRun() != batched.auditsRun() ||
-            scalar.auditsFailed() != batched.auditsFailed() ||
-            scalar.tableClears() != batched.tableClears() ||
-            scalar.overlayEntries() != batched.overlayEntries())
-            ++batch_mismatches;
-    }
-    if (batch_mismatches != 0)
-        std::fprintf(stderr,
-                     "FAIL: batched vs scalar paths diverged on "
-                     "%llu checks\n",
-                     static_cast<unsigned long long>(
-                         batch_mismatches));
-    else
-        std::fprintf(stderr,
-                     "equivalence: lookupBatch == lookup and "
-                     "decideBatch == decide/observe over %zu "
-                     "events\n",
-                     f.events.size());
-
-    // Self-check 4 (--pipeline): a whole session through the staged
-    // pipeline runtime must be bitwise-identical to the sequential
-    // loop — stats and per-component energy — across worker counts
-    // and queue capacities.
-    uint64_t pipeline_mismatches = 0;
-    if (check_pipeline) {
-        auto run = [&](bool pipelined, unsigned workers,
-                       uint32_t capacity) {
-            auto game = games::makeGame("ab_evolution");
-            core::SnipRuntimeConfig rcfg;
-            rcfg.audit_every = 8;
-            core::SnipScheme scheme(f.model, rcfg);
-            core::SimulationConfig cfg;
-            cfg.duration_s = 20.0;
-            cfg.seed = 99;
-            cfg.pipeline.enabled = pipelined;
-            cfg.pipeline.workers = workers;
-            cfg.pipeline.queue_capacity = capacity;
-            return core::runSession(*game, scheme, cfg);
-        };
-        core::SessionResult seq = run(false, 0, 0);
-        struct {
-            unsigned workers;
-            uint32_t capacity;
-        } combos[] = {{1, 1}, {2, 4}, {3, 16}};
-        for (const auto &c : combos) {
-            core::SessionResult pip =
-                run(true, c.workers, c.capacity);
-            bool same =
-                pip.stats.events == seq.stats.events &&
-                pip.stats.shortcircuits == seq.stats.shortcircuits &&
-                pip.stats.instr_total == seq.stats.instr_total &&
-                pip.stats.instr_skipped == seq.stats.instr_skipped &&
-                pip.stats.lookup_bytes == seq.stats.lookup_bytes &&
-                pip.stats.lookup_energy_j ==
-                    seq.stats.lookup_energy_j &&
-                pip.stats.erroneous_shortcircuits ==
-                    seq.stats.erroneous_shortcircuits &&
-                pip.stats.output_fields_wrong ==
-                    seq.stats.output_fields_wrong &&
-                pip.report.total() == seq.report.total() &&
-                pip.report.components().size() ==
-                    seq.report.components().size();
-            for (size_t k = 0;
-                 same && k < seq.report.components().size(); ++k)
-                same = pip.report.components()[k].dynamic_j ==
-                           seq.report.components()[k].dynamic_j &&
-                       pip.report.components()[k].static_j ==
-                           seq.report.components()[k].static_j;
-            if (!same)
-                ++pipeline_mismatches;
-        }
-        if (pipeline_mismatches != 0)
-            std::fprintf(stderr,
-                         "FAIL: pipelined session diverged from "
-                         "sequential on %llu of %zu configs\n",
-                         static_cast<unsigned long long>(
-                             pipeline_mismatches),
-                         std::size(combos));
-        else
-            std::fprintf(stderr,
-                         "equivalence: pipelined session == "
-                         "sequential (stats + energy) across %zu "
-                         "worker/queue configs\n",
-                         std::size(combos));
-    }
-    // Self-check 5: warm pool dispatch must beat spawn-per-call
+    // Self-check 3: warm pool dispatch must beat spawn-per-call
     // decisively. The acceptance bar is 10x; the runtime gate is 5x
     // to keep CI robust against scheduler noise on small containers
     // (the measured ratio on this hardware is far above both).
@@ -718,7 +484,6 @@ main(int argc, char **argv)
         benchmark::DoNotOptimize(sink);
     }
     return (alloc_violations != 0 || mismatches != 0 ||
-            batch_mismatches != 0 || pipeline_mismatches != 0 ||
             dispatch_fail != 0)
                ? 1
                : 0;

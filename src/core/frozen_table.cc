@@ -664,7 +664,7 @@ FrozenTable::nextTableId()
     return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool
+void
 FrozenTable::probeGroup(std::span<const events::EventObject> evs,
                         int t, uint32_t gb, uint32_t ge,
                         std::span<FrozenProbe> out,
@@ -709,7 +709,6 @@ FrozenTable::probeGroup(std::span<const events::EventObject> evs,
         gm.table_id = id_;
         gm.event_pos.clear();
         gm.event_fid.clear();
-        gm.pos_by_slot.assign(tv.nselected, ~0u);
         gm.layout_ok = true;
         for (uint32_t i = 0; i < tv.nselected && gm.layout_ok;
              ++i) {
@@ -724,7 +723,6 @@ FrozenTable::probeGroup(std::span<const events::EventObject> evs,
             } else {
                 gm.event_pos.push_back(p);
                 gm.event_fid.push_back(tv.selected[i]);
-                gm.pos_by_slot[i] = p;
             }
         }
         gm.nf = static_cast<uint32_t>(first.size());
@@ -780,7 +778,6 @@ FrozenTable::probeGroup(std::span<const events::EventObject> evs,
         const std::vector<events::FieldValue> &flds =
             evs[idx].fields;
         bool fast = layout_ok && verify(flds.data(), flds.size());
-        scratch.canon[idx] = fast;
         if (fast && memoable) {
             // Memoized path: fold the tuple into a slot index,
             // trust the cached result only on an exact tag + tuple
@@ -815,7 +812,6 @@ FrozenTable::probeGroup(std::span<const events::EventObject> evs,
             slot.vals[1] = vals[1];
             slot.vals[2] = vals[2];
             slot.vals[3] = vals[3];
-            slot.subkey = h;
             slot.begin = p.begin;
             slot.count = p.count;
             slot.m = m;
@@ -832,7 +828,6 @@ FrozenTable::probeGroup(std::span<const events::EventObject> evs,
         }
         out[idx] = p;
     }
-    return layout_ok;
 }
 
 void
@@ -841,7 +836,6 @@ FrozenTable::probeBatch(std::span<const events::EventObject> evs,
                         BatchLookupScratch &scratch) const
 {
     groupByType(evs, scratch);
-    scratch.canon.resize(evs.size());
 
     for (int t = 0; t < events::kNumEventTypes; ++t) {
         uint32_t gb = scratch.type_begin[t];
@@ -855,185 +849,6 @@ FrozenTable::probeBatch(std::span<const events::EventObject> evs,
             continue;
         }
         probeGroup(evs, t, gb, ge, out, scratch);
-    }
-}
-
-void
-FrozenTable::lookupBatch(std::span<const events::EventObject> evs,
-                         const games::Game &game,
-                         std::span<FrozenLookup> out,
-                         BatchLookupScratch &scratch) const
-{
-    groupByType(evs, scratch);
-    scratch.canon.resize(evs.size());
-    scratch.probes.resize(evs.size());
-
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        uint32_t gb = scratch.type_begin[t];
-        uint32_t ge = scratch.type_begin[t + 1];
-        if (gb == ge)
-            continue;
-        const TypeView &tv = types_[t];
-        if (tv.nselected == 0) {
-            for (uint32_t k = gb; k < ge; ++k)
-                out[scratch.order[k]] = FrozenLookup{};
-            continue;
-        }
-        // One grouped pass per type: probe the group, then
-        // finish it against the type's (possibly just rebuilt)
-        // cached layout map.
-        probeGroup(evs, t, gb, ge,
-                   {scratch.probes.data(), scratch.probes.size()},
-                   scratch);
-        const uint32_t *pos_by_slot =
-            scratch.group_maps[t].pos_by_slot.data();
-
-        // Static-game-state contract: the non-event (history/extern)
-        // input columns are the same for every event of the block,
-        // so gather them once per type group.
-        size_t n = tv.nselected;
-        scratch.base_values.resize(n);
-        scratch.base_present.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            if (tv.is_event[i]) {
-                scratch.base_present[i] = 0;
-                scratch.base_values[i] = 0;
-            } else {
-                uint64_t v = 0;
-                scratch.base_present[i] =
-                    game.gatherInputValue(tv.selected[i], v);
-                scratch.base_values[i] = v;
-            }
-        }
-
-        // Nearly every event's subkey finds a bucket (event-field
-        // combos repeat; it's the history/extern keys that reject),
-        // so the finish pass touches candidate key columns for
-        // almost every event; prefetch them a few events ahead.
-        scratch.gather.values.resize(n);
-        scratch.gather.present.resize(n);
-        for (uint32_t k = gb; k < ge; ++k) {
-            uint32_t idx = scratch.order[k];
-            if (k + 4 < ge) {
-                FrozenProbe nx = scratch.probes[scratch.order[k + 4]];
-                if (nx.count) {
-                    uint32_t nkb = tv.key_off[nx.begin];
-                    __builtin_prefetch(tv.key_slots + nkb);
-                    __builtin_prefetch(tv.key_values + nkb);
-                }
-            }
-            const events::EventObject &ev = evs[idx];
-            FrozenLookup &res = out[idx];
-            res = FrozenLookup{};
-            res.bytes_scanned = tv.selected_bytes;
-            FrozenProbe pr = scratch.probes[idx];
-            if (pr.count == 0)
-                continue;
-
-            // Canonical events with a narrow bucket — the dominant
-            // shape by far — compare per candidate with an early
-            // break on the first mismatched key, reading event-side
-            // keys straight from their mapped field positions.
-            // Rejects usually cost one compare, exactly like the
-            // scalar path. Wide buckets and deviant events take the
-            // column-wise pass below instead: one flat sweep over
-            // the bucket's adjacent key_slots/key_values columns
-            // computes a match flag per stored key (no per-entry
-            // control flow — the loop vectorizes), then each
-            // candidate reduces its flag range.
-            if (scratch.canon[idx] && pr.count <= 2) {
-                const events::FieldValue *flds = ev.fields.data();
-                for (uint32_t e = pr.begin; e < pr.begin + pr.count;
-                     ++e) {
-                    ++res.candidates;
-                    res.bytes_scanned += tv.entry_bytes[e] +
-                                         MemoTable::kEntryHeaderBytes;
-                    bool match = true;
-                    for (uint32_t k2 = tv.key_off[e];
-                         k2 < tv.key_off[e + 1]; ++k2) {
-                        uint32_t slot = tv.key_slots[k2];
-                        uint32_t p = pos_by_slot[slot];
-                        bool ok =
-                            p != ~0u
-                                ? flds[p].value == tv.key_values[k2]
-                                : (scratch.base_present[slot] &&
-                                   scratch.base_values[slot] ==
-                                       tv.key_values[k2]);
-                        if (!ok) {
-                            match = false;
-                            break;
-                        }
-                    }
-                    if (match) {
-                        res.hit = true;
-                        res.entry_ordinal = tv.entry_base + e;
-                        res.nout = tv.out_off[e + 1] - tv.out_off[e];
-                        res.out_ids = tv.out_ids + tv.out_off[e];
-                        res.out_values =
-                            tv.out_values + tv.out_off[e];
-                        break;
-                    }
-                }
-                continue;
-            }
-
-            uint32_t kb = tv.key_off[pr.begin];
-            uint32_t ke = tv.key_off[pr.begin + pr.count];
-            scratch.keymatch.resize(ke - kb);
-            if (scratch.canon[idx]) {
-                const events::FieldValue *flds = ev.fields.data();
-                for (uint32_t k2 = kb; k2 < ke; ++k2) {
-                    uint32_t slot = tv.key_slots[k2];
-                    uint32_t p = pos_by_slot[slot];
-                    scratch.keymatch[k2 - kb] =
-                        p != ~0u
-                            ? flds[p].value == tv.key_values[k2]
-                            : (scratch.base_present[slot] &&
-                               scratch.base_values[slot] ==
-                                   tv.key_values[k2]);
-                }
-            } else {
-                std::copy(scratch.base_values.begin(),
-                          scratch.base_values.end(),
-                          scratch.gather.values.begin());
-                std::copy(scratch.base_present.begin(),
-                          scratch.base_present.end(),
-                          scratch.gather.present.begin());
-                for (size_t i = 0; i < n; ++i) {
-                    if (!tv.is_event[i])
-                        continue;
-                    const events::FieldValue *fv = events::findField(
-                        ev.fields, tv.selected[i]);
-                    scratch.gather.present[i] = fv != nullptr;
-                    scratch.gather.values[i] = fv ? fv->value : 0;
-                }
-                for (uint32_t k2 = kb; k2 < ke; ++k2) {
-                    uint32_t slot = tv.key_slots[k2];
-                    scratch.keymatch[k2 - kb] =
-                        scratch.gather.present[slot] &&
-                        scratch.gather.values[slot] ==
-                            tv.key_values[k2];
-                }
-            }
-            for (uint32_t e = pr.begin; e < pr.begin + pr.count;
-                 ++e) {
-                ++res.candidates;
-                res.bytes_scanned +=
-                    tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
-                uint8_t match = 1;
-                for (uint32_t k2 = tv.key_off[e];
-                     k2 < tv.key_off[e + 1]; ++k2)
-                    match &= scratch.keymatch[k2 - kb];
-                if (match) {
-                    res.hit = true;
-                    res.entry_ordinal = tv.entry_base + e;
-                    res.nout = tv.out_off[e + 1] - tv.out_off[e];
-                    res.out_ids = tv.out_ids + tv.out_off[e];
-                    res.out_values = tv.out_values + tv.out_off[e];
-                    break;
-                }
-            }
-        }
     }
 }
 

@@ -73,19 +73,16 @@ struct FrozenProbe {
 };
 
 /**
- * Caller-owned reusable buffers for the batched lookup path: the
- * type-grouping order, per-event subkeys/probes, the gathered input
- * columns and the per-bucket key-match flags. Reusing one scratch
- * across blocks makes lookupBatch allocation-free once the buffers
- * have grown to the block size / widest selection / largest bucket.
+ * Caller-owned reusable buffers for probeBatch: the type-grouping
+ * order, the cached per-type layout maps and the subkey/probe memo.
+ * Reusing one scratch across blocks makes probeBatch
+ * allocation-free once the buffers have grown to the block size.
  */
 struct BatchLookupScratch {
     /** Event indices grouped by type (original order within). */
     std::vector<uint32_t> order;
     /** Group boundaries into order: [type] .. [type + 1]. */
     std::vector<uint32_t> type_begin;
-    /** Resolved probe per event (original index). */
-    std::vector<FrozenProbe> probes;
     /**
      * Cached canonical-layout map for one event type: where each
      * selected event field sits in the type's canonical field
@@ -114,22 +111,9 @@ struct BatchLookupScratch {
          *  field ids. */
         std::vector<uint32_t> event_pos;
         std::vector<uint32_t> event_fid;
-        /** Canonical position by selected slot; ~0u on non-event
-         *  slots. */
-        std::vector<uint32_t> pos_by_slot;
     };
     /** Per-type cached layout maps (indexed by event type). */
     std::vector<GroupMap> group_maps;
-    /** Per event: fields match the canonical layout (original
-     *  index; only meaningful within the current group). */
-    std::vector<uint8_t> canon;
-    /** Per-event gathered values (event fields overlaid). */
-    LookupScratch gather;
-    /** Non-event (game-state) columns, gathered once per group. */
-    std::vector<uint64_t> base_values;
-    std::vector<uint8_t> base_present;
-    /** Per-key match flags over one bucket's flat key range. */
-    std::vector<uint8_t> keymatch;
 
     /**
      * Direct-mapped subkey/probe memo: event streams repeat the
@@ -145,8 +129,7 @@ struct BatchLookupScratch {
     struct alignas(64) SubkeyMemo {
         uint64_t tag = 0;  // field map + table id fingerprint
         uint64_t vals[4] = {0, 0, 0, 0};
-        uint64_t subkey = 0;
-        /** Cached probe result for (table, subkey). */
+        /** Cached probe result for (table, tuple). */
         uint32_t begin = 0;
         uint32_t count = 0;
         uint32_t m = ~0u;  // tuple width; ~0u = empty slot
@@ -221,35 +204,15 @@ class FrozenTable
     /**
      * Resolve index probes for a block of events: the block is
      * grouped by event type (stable counting sort) so each type's
-     * index is walked while cache-resident, and the probed slot of
-     * the next event in the group is software-prefetched one
-     * iteration ahead. Writes out[i] = probeEvent(evs[i]).
+     * index is walked while cache-resident, and repeated
+     * selected-field tuples are served from the scratch's subkey
+     * memo without touching the index. No software prefetch: memo
+     * hits never walk the index, so it would mostly be overhead.
+     * Writes out[i] = probeEvent(evs[i]).
      */
     void probeBatch(std::span<const events::EventObject> evs,
                     std::span<FrozenProbe> out,
                     BatchLookupScratch &scratch) const;
-
-    /**
-     * Look up a block of events in one batched pass. Requires
-     * evs.size() == out.size(). Produces out[i] identical (bitwise,
-     * including candidate/byte accounting and arena out-pointers) to
-     * lookup(evs[i], game, ...) — under the static-game-state
-     * contract: the game's state must not change for the duration of
-     * the block, because the non-event (history/extern) input
-     * columns are gathered once per type group rather than once per
-     * event. Event-side fields still come from each event.
-     *
-     * The pass runs type-grouped (index cache-resident, probes
-     * prefetched one ahead) and compares the CSR key columns
-     * column-wise: per bucket, a flat pass over the adjacent
-     * key_slots/key_values columns computes a match flag per stored
-     * key, then each candidate reduces its flag range — the
-     * width-wise loop form the compiler can vectorize.
-     */
-    void lookupBatch(std::span<const events::EventObject> evs,
-                     const games::Game &game,
-                     std::span<FrozenLookup> out,
-                     BatchLookupScratch &scratch) const;
 
     /**
      * Whether an observed execution is already memoized: projects
@@ -341,13 +304,11 @@ class FrozenTable
                uint32_t *count) const;
     /**
      * Subkey + probe pass for one type group (order[gb..ge) in
-     * scratch, all of type @p t). Fills scratch.canon for the
-     * group's events and writes their probes
-     * into @p out (original indices). Reuses (or rebuilds) the
-     * type's cached layout map, scratch.group_maps[t]; returns
-     * whether that map is usable.
+     * scratch, all of type @p t): writes the group's probes into
+     * @p out (original indices). Reuses (or rebuilds) the type's
+     * cached layout map, scratch.group_maps[t].
      */
-    bool probeGroup(std::span<const events::EventObject> evs,
+    void probeGroup(std::span<const events::EventObject> evs,
                     int t, uint32_t gb, uint32_t ge,
                     std::span<FrozenProbe> out,
                     BatchLookupScratch &scratch) const;

@@ -4,8 +4,9 @@
 #include <array>
 
 #include "core/output_diff.h"
-#include "core/pipeline.h"
-#include "core/session_parts.h"
+#include "events/binder.h"
+#include "events/sensor_manager.h"
+#include "trace/recorder.h"
 #include "util/bytes.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -37,15 +38,114 @@ SessionStats::errorFieldRate() const
                : 0.0;
 }
 
-namespace detail {
+namespace {
 
-uint32_t
-effectiveBlock(const SimulationConfig &cfg, const Scheme &scheme)
+/**
+ * One unit of the delivery stream: either a block of same-frame
+ * events (in time order) or a frame boundary.
+ */
+struct GenItem {
+    enum class Kind : uint8_t { Block, FrameEnd };
+    Kind kind = Kind::Block;
+    /** Block: the events, in delivery order. */
+    std::vector<events::EventObject> events;
+    /** FrameEnd: the frame boundary time and its advance delta. */
+    double frame_end = 0.0;
+    double dt = 0.0;
+};
+
+/**
+ * Sensor-side event generation, as an iterator: draws the jittered
+ * per-mix arrivals and the event objects frame by frame, in blocks
+ * bounded by the frame, then one FrameEnd item per frame. Per event,
+ * makeEvent() then the arrival-jitter draw. Generation never depends
+ * on handler processing, so the stream is a pure function of (game
+ * params, seed, duration) and the block size only changes how it is
+ * cut.
+ */
+class EventGen
 {
-    return cfg.batch_block
-               ? cfg.batch_block
-               : std::max<uint32_t>(1, scheme.batchBlock());
-}
+  public:
+    /** @p game must already be reset(); @p block >= 1. */
+    EventGen(games::Game &game, const SimulationConfig &cfg,
+             uint32_t block);
+
+    /**
+     * Produce the next item into @p item (reusing its storage).
+     * Returns false when the session's final frame has been
+     * emitted.
+     */
+    bool next(GenItem &item);
+
+  private:
+    games::Game &game_;
+    const SimulationConfig &cfg_;
+    uint32_t block_;
+    util::Rng rng_;
+    /** Per-mix-entry next arrival times (jittered periodic). */
+    std::vector<double> next_at_;
+    double frame_dt_;
+    double now_ = 0.0;
+    double frame_end_ = 0.0;
+    bool in_frame_ = false;
+    bool done_ = false;
+};
+
+/**
+ * Framework dispatch, scheme decision, handler execution (or its
+ * short-circuit) and all SoC charging/accounting, in delivery order:
+ * per-event processing, the per-frame background load + IP sleep
+ * policy + SoC advance, and the end-of-session accounting.
+ */
+class SessionBody
+{
+  public:
+    SessionBody(games::Game &game, Scheme &scheme,
+                const SimulationConfig &cfg);
+
+    /** Deliver one event through the full path, in stream order. */
+    void processEvent(const events::EventObject &ev);
+
+    /** Frame boundary: background load, sleep policy, advance. */
+    void frameEnd(double frame_end, double dt);
+
+    /** End-of-session result + obs totals. Call exactly once. */
+    SessionResult finalize();
+
+  private:
+    games::Game &game_;
+    Scheme &scheme_;
+    const SimulationConfig &cfg_;
+
+    soc::Soc soc_;
+    events::SensorManager sensorMgr_;
+    events::BinderChannel binder_;
+    trace::EventRecorder recorder_;
+    SessionStats stats_;
+
+    /** Per-IP last-use clock for the sleep policy. */
+    std::array<double, soc::kNumIpKinds> ipLastUse_;
+
+    /** Pre-resolved obs handles (null when observability is off). */
+    struct ObsHandles {
+        obs::Counter *events = nullptr;
+        obs::Counter *frames = nullptr;
+        obs::Counter *useless = nullptr;
+        obs::Counter *lookups = nullptr;
+        obs::Counter *hits = nullptr;
+        obs::Counter *misses = nullptr;
+        obs::Counter *bytes = nullptr;
+        obs::Counter *candidates = nullptr;
+        obs::Counter *shortcircuit = nullptr;
+        obs::Counter *full = nullptr;
+        obs::Counter *audited = nullptr;
+        obs::Counter *err_sc = nullptr;
+        obs::Counter *err_temp = nullptr;
+        obs::Counter *err_hist = nullptr;
+        obs::Counter *err_ext = nullptr;
+        util::Log2Histogram *bytes_hist = nullptr;
+    } oc_;
+};
 
 EventGen::EventGen(games::Game &game, const SimulationConfig &cfg,
                    uint32_t block)
@@ -79,7 +179,6 @@ EventGen::next(GenItem &item)
     // event.
     const auto &mix = game_.params().mix;
     item.events.clear();
-    item.has_probes = false;
     while (item.events.size() < block_) {
         size_t best = SIZE_MAX;
         for (size_t i = 0; i < mix.size(); ++i) {
@@ -320,7 +419,7 @@ SessionBody::finalize()
     return result;
 }
 
-}  // namespace detail
+}  // namespace
 
 SessionResult
 runSession(games::Game &game, Scheme &scheme,
@@ -330,26 +429,15 @@ runSession(games::Game &game, Scheme &scheme,
         util::fatal("runSession: non-positive duration %f",
                     cfg.duration_s);
 
-    if (cfg.pipeline.enabled) {
-        Pipeline pipeline(game, scheme, cfg);
-        return pipeline.run();
-    }
-
     game.reset();
-    uint32_t block = detail::effectiveBlock(cfg, scheme);
-    detail::EventGen gen(game, cfg, block);
-    detail::SessionBody body(game, scheme, cfg);
+    EventGen gen(game, cfg, std::max<uint32_t>(1, scheme.batchBlock()));
+    SessionBody body(game, scheme, cfg);
 
-    // Sequential drive of the same two halves the pipeline runs on
-    // separate workers: per block, the scheme's prepareBatch hint
-    // (SNIP resolves its frozen index probes type-grouped), then
-    // the unchanged per-event stage. Event generation is
-    // state-independent and consumes the rng in exactly this order
-    // either way, so sessions are bitwise-identical at every block
-    // size and in both runtimes.
-    detail::GenItem item;
+    // Per block, the scheme's prepareBatch hint (SNIP resolves its
+    // frozen index probes type-grouped), then the per-event stage.
+    GenItem item;
     while (gen.next(item)) {
-        if (item.kind == detail::GenItem::Kind::Block) {
+        if (item.kind == GenItem::Kind::Block) {
             if (item.events.size() > 1)
                 scheme.prepareBatch(
                     {item.events.data(), item.events.size()});

@@ -11,61 +11,12 @@
 #ifndef SNIP_CORE_SIMULATION_H
 #define SNIP_CORE_SIMULATION_H
 
-#include <functional>
-#include <optional>
-
 #include "core/scheme.h"
 #include "soc/soc.h"
 #include "trace/profile.h"
 
 namespace snip {
 namespace core {
-
-/**
- * Pipelined async session runtime knobs (see core/pipeline.h and
- * DESIGN.md "Pipelined session runtime"). When enabled, runSession
- * decomposes the session loop into three stages — event generation,
- * SNIP probe resolution, handler execution + SoC charging —
- * connected by bounded lock-free SPSC ring buffers with
- * backpressure and a per-stage deadline. Contract: a pipelined
- * session reproduces the sequential session's decisions, energy
- * accounting, and SessionStats bitwise at every queue capacity and
- * worker count (per-session ordering is fixed; only cross-session
- * interleaving is free).
- */
-struct PipelineConfig {
-    /** Run the session through the staged pipeline. */
-    bool enabled = false;
-    /**
-     * Slots per stage queue; rounded up to a power of two, min 1.
-     * Small capacities exercise backpressure, large ones decouple
-     * the stages further — results are identical either way.
-     */
-    uint32_t queue_capacity = 16;
-    /**
-     * Stage worker threads, clamped to [1, 3]; 0 uses
-     * min(3, defaultThreadCount()) so SNIP_THREADS caps stage
-     * parallelism like every other parallel phase. Stages are
-     * statically assigned round-robin to the workers; with one
-     * worker the pipeline runs cooperatively on the calling thread
-     * (queues, backpressure and metrics all still exercised).
-     */
-    unsigned workers = 0;
-    /**
-     * Per-stage soft deadline for processing one queue item (µs).
-     * The timing controller counts (and exposes via
-     * `pipeline.stage.*.deadline_misses`) items whose stage time
-     * exceeds it; 0 disables deadline tracking.
-     */
-    double stage_deadline_us = 0.0;
-    /**
-     * Test hook: called by stage @p stage (0 = gen, 1 = decide,
-     * 2 = exec) before it processes its @p item-th queue item.
-     * Used by the determinism fuzz to inject stage stalls; must not
-     * touch session state.
-     */
-    std::function<void(int stage, uint64_t item)> test_stall;
-};
 
 /** Session knobs. */
 struct SimulationConfig {
@@ -88,19 +39,6 @@ struct SimulationConfig {
     uint64_t lookup_instr_base = 4000;
 
     /**
-     * Event-block size for the batched decide path: same-frame
-     * events are generated in blocks of up to this many, handed to
-     * Scheme::prepareBatch() (SNIP resolves its frozen index probes
-     * type-grouped), then processed through the unchanged per-event
-     * sequential stage. 0 uses the scheme's own batchBlock()
-     * preference; 1 forces the scalar path. Sessions are
-     * bitwise-identical at every setting: event generation consumes
-     * the rng in the same order, and all state-dependent work stays
-     * per-event.
-     */
-    uint32_t batch_block = 0;
-
-    /**
      * Optional metrics sink (nullptr = observability off): lookup
      * hit/miss/byte counters, decide outcomes, erroneous-
      * shortcircuit classes, per-frame/event counts, and end-of-
@@ -112,14 +50,6 @@ struct SimulationConfig {
      * one Registry each and merge after the join.
      */
     obs::Registry *obs = nullptr;
-
-    /**
-     * Staged async runtime (off by default). With obs set, the
-     * pipeline additionally exports per-stage occupancy, queue-
-     * depth log2-histograms, and deadline-miss counters under
-     * `pipeline.*`.
-     */
-    PipelineConfig pipeline;
 };
 
 /** Counters collected over one session. */
@@ -174,7 +104,12 @@ struct SessionResult {
 
 /**
  * Run one session of @p game under @p scheme. The game is reset()
- * at session start; the Soc is constructed fresh.
+ * at session start; the Soc is constructed fresh. Same-frame events
+ * are generated in blocks of up to max(1, scheme.batchBlock()),
+ * handed to Scheme::prepareBatch(), then decided one by one;
+ * sessions are bitwise-identical at every block size, because event
+ * generation consumes the rng in the same order and all
+ * state-dependent work stays per-event.
  */
 SessionResult runSession(games::Game &game, Scheme &scheme,
                          const SimulationConfig &cfg = {});

@@ -13,9 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -32,7 +30,6 @@
 #include "ml/dataset.h"
 #include "ml/pfi.h"
 #include "ml/random_forest.h"
-#include "obs/metrics.h"
 #include "trace/recorder.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -454,9 +451,10 @@ TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstFrozenTable)
 
 TEST(ParallelRunnerTest, ConcurrentBatchLookupsOnSharedConstFrozenTable)
 {
-    // The batched path under the same concurrency contract: one
-    // shared const FrozenTable, 8 threads draining the stream
-    // through lookupBatch() with per-caller batch scratch, results
+    // The batched probe path under the same concurrency contract:
+    // one shared const FrozenTable, 8 threads draining the stream
+    // through probeBatch() + finishLookup() with per-caller scratch
+    // (the SnipScheme prepareBatch()/decide() split), results
     // identical to a serial scalar pass (tools/ci.sh runs this
     // under -fsanitize=thread).
     auto game = games::makeGame("colorphun");
@@ -498,19 +496,22 @@ TEST(ParallelRunnerTest, ConcurrentBatchLookupsOnSharedConstFrozenTable)
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < kThreads; ++t) {
         pool.emplace_back([&, t] {
-            BatchLookupScratch scratch;  // per-caller, reused
-            std::vector<FrozenLookup> out(kBlock);
+            BatchLookupScratch batch;  // per-caller, reused
+            LookupScratch scratch;
+            std::vector<FrozenProbe> probes(kBlock);
             for (int round = 0; round < kRounds; ++round) {
                 for (size_t base = 0; base < events.size();
                      base += kBlock) {
                     size_t len =
                         std::min(kBlock, events.size() - base);
-                    table.lookupBatch({events.data() + base, len},
-                                      cgame, {out.data(), len},
-                                      scratch);
+                    table.probeBatch({events.data() + base, len},
+                                     {probes.data(), len}, batch);
                     for (size_t k = 0; k < len; ++k) {
-                        hits[t] += out[k].hit;
-                        bytes[t] += out[k].bytes_scanned;
+                        FrozenLookup r = table.finishLookup(
+                            events[base + k], cgame, scratch,
+                            probes[k]);
+                        hits[t] += r.hit;
+                        bytes[t] += r.bytes_scanned;
                     }
                 }
             }
@@ -713,251 +714,6 @@ TEST(ParallelRunnerTest, InvalidSpecThrowsOnCallerThread)
     mixed[1].make_scheme = nullptr;
     EXPECT_THROW(pool.runSessions(mixed), std::runtime_error);
     util::setThrowOnError(prev);
-}
-
-/** Bitwise equality of two energy reports. */
-void
-expectReportEqual(const soc::EnergyReport &a,
-                  const soc::EnergyReport &b)
-{
-    EXPECT_EQ(a.total(), b.total());
-    EXPECT_EQ(a.elapsed(), b.elapsed());
-    ASSERT_EQ(a.components().size(), b.components().size());
-    for (size_t c = 0; c < a.components().size(); ++c) {
-        EXPECT_EQ(a.components()[c].dynamic_j,
-                  b.components()[c].dynamic_j);
-        EXPECT_EQ(a.components()[c].static_j,
-                  b.components()[c].static_j);
-    }
-}
-
-/**
- * Shared SNIP fixture for the pipeline suite: one profiled + built
- * model (the expensive part), reused across tests. The model is
- * only read through per-test SnipScheme instances.
- */
-SnipModel &
-pipelineFixtureModel()
-{
-    static SnipModel model = [] {
-        auto game = games::makeGame("colorphun");
-        BaselineScheme baseline;
-        SimulationConfig pcfg;
-        pcfg.duration_s = 30.0;
-        pcfg.record_events = true;
-        SessionResult prof = runSession(*game, baseline, pcfg);
-        auto replica = games::makeGame("colorphun");
-        trace::Profile profile =
-            trace::Replayer::replay(prof.trace, *replica);
-        SnipConfig scfg;
-        scfg.min_records_per_type = 8;
-        return buildSnipModel(profile, *game, scfg);
-    }();
-    return model;
-}
-
-/** One SNIP session (sequential or pipelined) against the fixture. */
-SessionResult
-runFixtureSession(const SimulationConfig &cfg)
-{
-    auto game = games::makeGame("colorphun");
-    SnipRuntimeConfig rcfg;
-    rcfg.audit_every = 8;
-    SnipScheme scheme(pipelineFixtureModel(), rcfg);
-    return runSession(*game, scheme, cfg);
-}
-
-/**
- * The tentpole determinism contract: a pipelined session reproduces
- * the sequential session bitwise — stats, energy report and the
- * recorded event stream — at every queue capacity and worker count.
- */
-TEST(PipelineTest, MatchesSequentialBitwise)
-{
-    SimulationConfig cfg;
-    cfg.duration_s = 10.0;
-    cfg.seed = 7;
-    cfg.record_events = true;
-    SessionResult seq = runFixtureSession(cfg);
-    ASSERT_GT(seq.stats.events, 0u);
-    ASSERT_GT(seq.stats.shortcircuits, 0u);
-
-    for (unsigned workers : {1u, 2u, 3u}) {
-        for (uint32_t capacity : {1u, 2u, 16u, 64u}) {
-            SimulationConfig pcfg = cfg;
-            pcfg.pipeline.enabled = true;
-            pcfg.pipeline.workers = workers;
-            pcfg.pipeline.queue_capacity = capacity;
-            SessionResult pip = runFixtureSession(pcfg);
-            SCOPED_TRACE(testing::Message()
-                         << "workers=" << workers
-                         << " capacity=" << capacity);
-            expectStatsEqual(pip.stats, seq.stats);
-            expectReportEqual(pip.report, seq.report);
-            ASSERT_EQ(pip.trace.events.size(),
-                      seq.trace.events.size());
-            for (size_t i = 0; i < seq.trace.events.size(); ++i) {
-                EXPECT_EQ(pip.trace.events[i].seq,
-                          seq.trace.events[i].seq);
-                EXPECT_EQ(pip.trace.events[i].timestamp,
-                          seq.trace.events[i].timestamp);
-            }
-        }
-    }
-}
-
-/** The baseline (no-probe, no-batch) scheme through the pipeline. */
-TEST(PipelineTest, BaselineSchemeMatchesSequential)
-{
-    auto run = [](bool pipelined) {
-        auto game = games::makeGame("colorphun");
-        BaselineScheme scheme;
-        SimulationConfig cfg;
-        cfg.duration_s = 8.0;
-        cfg.seed = 11;
-        cfg.pipeline.enabled = pipelined;
-        cfg.pipeline.workers = 2;
-        return runSession(*game, scheme, cfg);
-    };
-    SessionResult seq = run(false);
-    SessionResult pip = run(true);
-    expectStatsEqual(pip.stats, seq.stats);
-    expectReportEqual(pip.report, seq.report);
-}
-
-/**
- * Determinism fuzz: random queue capacities, random batch blocks
- * and randomized stage stalls (injected through the test hook, so
- * every interleaving of backpressure and starvation gets exercised)
- * must never change a single bit of the result.
- */
-TEST(PipelineTest, DeterminismFuzz)
-{
-    util::Rng fuzz(0xf022);
-    std::map<uint32_t, SessionResult> seq_by_block;
-
-    for (int iter = 0; iter < 10; ++iter) {
-        uint32_t capacity =
-            1 + static_cast<uint32_t>(fuzz.uniformInt(0, 63));
-        uint32_t block =
-            1 + static_cast<uint32_t>(fuzz.uniformInt(0, 47));
-        unsigned workers =
-            1 + static_cast<unsigned>(fuzz.uniformInt(0, 2));
-        uint64_t stall_salt = fuzz.next();
-
-        SimulationConfig cfg;
-        cfg.duration_s = 5.0;
-        cfg.seed = 21;
-        cfg.batch_block = block;
-
-        auto it = seq_by_block.find(block);
-        if (it == seq_by_block.end())
-            it = seq_by_block
-                     .emplace(block, runFixtureSession(cfg))
-                     .first;
-        const SessionResult &seq = it->second;
-
-        SimulationConfig pcfg = cfg;
-        pcfg.pipeline.enabled = true;
-        pcfg.pipeline.queue_capacity = capacity;
-        pcfg.pipeline.workers = workers;
-        // Stateless stall: a deterministic hash of (stage, item)
-        // picks ~1/32 of the items on each stage and parks them,
-        // creating both output-full and input-empty phases.
-        pcfg.pipeline.test_stall = [stall_salt](int stage,
-                                                uint64_t item) {
-            uint64_t h = util::mix64(
-                stall_salt ^ (static_cast<uint64_t>(stage) << 32) ^
-                item);
-            if (h % 32 == 0)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(h % 200));
-        };
-        SessionResult pip = runFixtureSession(pcfg);
-
-        SCOPED_TRACE(testing::Message()
-                     << "iter=" << iter << " capacity=" << capacity
-                     << " block=" << block
-                     << " workers=" << workers);
-        expectStatsEqual(pip.stats, seq.stats);
-        expectReportEqual(pip.report, seq.report);
-    }
-}
-
-/**
- * The pipeline's obs surface: per-stage item/blocked counters,
- * queue-depth histograms, occupancy gauges, and deadline misses
- * when a (deliberately unmeetable) per-stage deadline is set.
- */
-TEST(PipelineTest, ExportsStageMetrics)
-{
-    obs::Registry reg;
-    SimulationConfig cfg;
-    cfg.duration_s = 5.0;
-    cfg.seed = 3;
-    cfg.obs = &reg;
-    cfg.pipeline.enabled = true;
-    cfg.pipeline.workers = 2;
-    cfg.pipeline.queue_capacity = 4;
-    cfg.pipeline.stage_deadline_us = 1e-3;  // 1 ns: every item misses
-    SessionResult res = runFixtureSession(cfg);
-    ASSERT_GT(res.stats.events, 0u);
-
-    for (const char *stage : {"gen", "decide", "exec"}) {
-        std::string p = std::string("pipeline.stage.") + stage + ".";
-        EXPECT_GT(reg.counterValue(p + "items"), 0u) << stage;
-        EXPECT_GT(reg.counterValue(p + "busy_ns"), 0u) << stage;
-        EXPECT_GT(reg.counterValue(p + "deadline_misses"), 0u)
-            << stage;
-        EXPECT_GT(reg.gaugeValue(p + "occupancy"), 0.0) << stage;
-        const util::Log2Histogram *depth =
-            reg.findHistogram(p + "queue_depth");
-        ASSERT_NE(depth, nullptr) << stage;
-        EXPECT_GT(depth->count(), 0u) << stage;
-    }
-    EXPECT_EQ(reg.gaugeValue("pipeline.workers"), 2.0);
-    EXPECT_EQ(reg.gaugeValue("pipeline.queue_capacity"), 4.0);
-    // gen and decide produce exactly what exec consumes.
-    EXPECT_EQ(reg.counterValue("pipeline.stage.gen.items"),
-              reg.counterValue("pipeline.stage.exec.items"));
-
-    // The session-path metrics flow unchanged through the pipeline.
-    EXPECT_EQ(reg.counterValue("session.events"), res.stats.events);
-}
-
-/**
- * TSan smoke: 8 concurrent pipelined sessions, each with up to 3
- * stage workers, all deciding against the one shared const
- * FrozenTable of the fixture model. Results must equal the
- * sequential reference (tools/ci.sh runs this under
- * -fsanitize=thread).
- */
-TEST(PipelineTest, ConcurrentPipelinedSessionsOnSharedFrozenTable)
-{
-    SimulationConfig cfg;
-    cfg.duration_s = 5.0;
-    cfg.seed = 17;
-    SessionResult seq = runFixtureSession(cfg);
-
-    constexpr unsigned kThreads = 8;
-    std::vector<SessionResult> results(kThreads);
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        pool.emplace_back([&, t] {
-            SimulationConfig pcfg = cfg;
-            pcfg.pipeline.enabled = true;
-            pcfg.pipeline.workers = 1 + t % 3;
-            pcfg.pipeline.queue_capacity = 1u << (t % 5);
-            results[t] = runFixtureSession(pcfg);
-        });
-    }
-    for (auto &th : pool)
-        th.join();
-    for (unsigned t = 0; t < kThreads; ++t) {
-        SCOPED_TRACE(testing::Message() << "thread " << t);
-        expectStatsEqual(results[t].stats, seq.stats);
-        expectReportEqual(results[t].report, seq.report);
-    }
 }
 
 }  // namespace

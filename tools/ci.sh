@@ -17,26 +17,21 @@
 # (the binary exits non-zero if any lookup thread allocated in its
 # timed loop or the frozen and mutable layouts disagree on a single
 # decision; the JSON is additionally checked for zero allocs_per_iter
-# at every thread count of both lookup benchmarks and the batched
-# lookup benchmark must be present with zero allocs), then fuzz the
+# at every thread count of both lookup benchmarks), then fuzz the
 # OTA model codec and the frozen "SNPF" arena with corrupt packages
 # under asan (truncations and random bit flips must be rejected
 # cleanly — no crashes, no sanitizer reports, including the mmap'd
 # SNCT attach path), and finally replay a 10k-event stream through
-# decideBatch/lookupBatch under asan asserting bitwise-identical
-# decisions against the scalar path. The pipelined session runtime
-# gets three stages of its own: the sequential-vs---pipeline bitwise
-# equivalence replay under asan, the fig11 --pipeline --obs-json
-# export check (per-stage occupancy/items/queue-depth must be
-# present and consistent), and the pipeline TSan smokes. The fleet
-# OTA backend gets three more: the fleet_sim --quick epoch push
-# (delta payload must undercut the full baseline, sharded
-# aggregation must stay bitwise-identical to serial, and the
-# per-cohort staleness report must be present and sane), the SNPD
-# patch corruption fuzz under asan (every real mutation of a patch
-# must be rejected and the device receive path must still converge
-# on the published head via full-fetch fallback), and the TSan
-# sharded-merge equivalence smoke.
+# prepareBatch + decide/observe and the block-wise probeBatch path
+# under asan asserting bitwise-identical decisions against the
+# unprepared scalar path. The fleet OTA backend gets three more
+# stages: the fleet_sim --quick epoch push (delta payload must
+# undercut the full baseline, sharded aggregation must stay
+# bitwise-identical to serial, and the per-cohort staleness report
+# must be present and sane), the SNPD patch corruption fuzz under
+# asan (every real mutation of a patch must be rejected and the
+# device receive path must still converge on the published head via
+# full-fetch fallback), and the TSan sharded-merge equivalence smoke.
 #
 # Usage: tools/ci.sh [jobs]   (jobs defaults to nproc)
 set -euo pipefail
@@ -114,7 +109,7 @@ if d['timers']['span.shrink']['sum_s'] <= 0.0:
 EOF
 
 echo "==> micro_lookup smoke (hot-path zero-alloc + frozen equivalence)"
-( cd build && ./bench/micro_lookup --pipeline \
+( cd build && ./bench/micro_lookup \
     --benchmark_min_time=0.05s \
     --benchmark_out=micro_lookup_ci.json \
     --benchmark_out_format=json >/dev/null )
@@ -130,8 +125,6 @@ if not any('BM_FrozenTableLookup' in b['name'] for b in lookups):
     sys.exit('micro_lookup: BM_FrozenTableLookup missing from JSON')
 if not any('BM_MemoTableLookup' in b['name'] for b in lookups):
     sys.exit('micro_lookup: BM_MemoTableLookup missing from JSON')
-if not any('BM_FrozenTableLookupBatch' in b['name'] for b in lookups):
-    sys.exit('micro_lookup: BM_FrozenTableLookupBatch missing from JSON')
 bad = [(b['name'], b['allocs_per_iter']) for b in lookups
        if b.get('allocs_per_iter', 0) != 0]
 if bad:
@@ -175,43 +168,7 @@ cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$JOBS"
 ctest --preset asan-ubsan -j "$JOBS"
 
-echo "==> pipeline bitwise-equivalence replay (sequential vs --pipeline, asan)"
-./build-asan/tests/parallel_test \
-    --gtest_filter='PipelineTest.MatchesSequentialBitwise:PipelineTest.DeterminismFuzz:PipelineTest.BaselineSchemeMatchesSequential'
-
-echo "==> pipeline obs export smoke (fig11 --pipeline --obs-json)"
-./build/bench/fig11_schemes --quick --pipeline \
-    --obs-json build/fig11_obs_pipeline.json >/dev/null
-python3 - <<'EOF'
-import json, sys
-
-with open('build/fig11_obs_pipeline.json') as f:
-    d = json.load(f)
-
-missing = []
-for stage in ('gen', 'decide', 'exec'):
-    for section, key in [
-        ('gauges', f'pipeline.stage.{stage}.occupancy'),
-        ('counters', f'pipeline.stage.{stage}.items'),
-        ('counters', f'pipeline.stage.{stage}.blocked'),
-        ('counters', f'pipeline.stage.{stage}.deadline_misses'),
-        ('histograms', f'pipeline.stage.{stage}.queue_depth'),
-    ]:
-        if key not in d.get(section, {}):
-            missing.append(f'{section}/{key}')
-if missing:
-    sys.exit('fig11 --pipeline --obs-json missing: ' +
-             ', '.join(missing))
-for stage in ('gen', 'exec'):
-    occ = d['gauges'][f'pipeline.stage.{stage}.occupancy']
-    if occ <= 0.0:
-        sys.exit(f'pipeline.stage.{stage}.occupancy not positive')
-if (d['counters']['pipeline.stage.gen.items'] !=
-        d['counters']['pipeline.stage.exec.items']):
-    sys.exit('pipeline: gen/exec item counts disagree')
-EOF
-
-echo "==> tsan smoke (concurrent lookups + parallel Shrink phase + pipeline)"
+echo "==> tsan smoke (concurrent lookups + parallel Shrink phase)"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$JOBS" --target parallel_test \
     --target obs_test --target ml_test --target micro_train \
@@ -221,7 +178,7 @@ TSAN_OPTIONS="halt_on_error=1" \
     --gtest_filter='ChunkedDatasetTest.ThreadInvarianceOnSharedView'
 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/parallel_test \
-    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.ConcurrentBatchLookupsOnSharedConstFrozenTable:ParallelRunnerTest.RunSessionsMatchesSerialBitwise:ShrinkParallelTest.*:PipelineTest.MatchesSequentialBitwise:PipelineTest.ConcurrentPipelinedSessionsOnSharedFrozenTable'
+    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.ConcurrentBatchLookupsOnSharedConstFrozenTable:ParallelRunnerTest.RunSessionsMatchesSerialBitwise:ShrinkParallelTest.*'
 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/obs_test \
     --gtest_filter='ShardedRegistry.*'
@@ -236,14 +193,14 @@ TSAN_OPTIONS="halt_on_error=1" \
 
 echo "==> task pool (tsan parallel_test @ 8 threads + steady-state spawn check)"
 # The whole parallel suite — pool internals, nested submission,
-# concurrent external callers, leased pipeline workers — racing on
-# an 8-way shared pool under tsan.
+# concurrent external callers — racing on an 8-way shared pool
+# under tsan.
 SNIP_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/parallel_test
 # Zero steady-state respawns: across a 5-epoch continuous-learning
 # run every epoch's Shrink/PFI/session parallelism must reuse the
-# same resident workers, so the lifetime spawn total cannot exceed
-# the resident pool size.
+# same resident workers, so the lifetime spawn total must equal the
+# resident pool size (workers are only ever spawned as residents).
 ./build/bench/fig12_continuous_learning --quick --epochs 5 \
     --threads 4 --obs-json build/fig12_obs_pool.json >/dev/null
 python3 - <<'EOF'
@@ -258,10 +215,10 @@ for k in ('pool.threads_spawned', 'pool.size', 'pool.tasks',
     if k not in g:
         sys.exit('fig12 --obs-json missing gauge: ' + k)
 spawned, size = g['pool.threads_spawned'], g['pool.size']
-if spawned > size:
-    sys.exit('pool: threads_spawned %r > pool size %r — workers '
-             'were respawned across ContinuousLearner epochs'
-             % (spawned, size))
+if spawned != size:
+    sys.exit('pool: threads_spawned %r != pool size %r — workers '
+             'were spawned outside the resident set across '
+             'ContinuousLearner epochs' % (spawned, size))
 if g['pool.tasks'] <= 0:
     sys.exit('pool: no tasks executed despite --threads 4')
 EOF
@@ -286,8 +243,8 @@ SNIP_FUZZ_ITERS=512 \
     ./build-asan/tests/fleet_test \
     --gtest_filter='Fleet*Fuzz*'
 
-echo "==> batch-equivalence fuzz (decideBatch/lookupBatch vs scalar, asan)"
+echo "==> batch-equivalence fuzz (prepareBatch/probeBatch vs scalar, asan)"
 ./build-asan/tests/core_test \
-    --gtest_filter='Schemes.DecideBatchMatchesScalarFuzz:MemoTableTest.FrozenLookupBatchMatchesScalar'
+    --gtest_filter='Schemes.DecideBatchMatchesScalarFuzz:MemoTableTest.ProbeBatchMatchesScalarProbe:Simulation.BatchedSessionBitwiseIdentical'
 
 echo "==> all green"
