@@ -1,13 +1,10 @@
 #include "core/frozen_table.h"
 
-#include <atomic>
-
 #include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace snip {
 namespace core {
@@ -22,10 +19,6 @@ constexpr size_t kHeaderBytes = 32;
 constexpr size_t kTypeRecBytes = 72;
 /** Index slot: u64 subkey + u32 begin + u32 count. */
 constexpr size_t kSlotBytes = 16;
-
-/** Subkey memo geometry: 2^12 slots x 64 B = 256 KiB/scratch. */
-constexpr unsigned kSubkeyMemoBits = 12;
-constexpr size_t kSubkeyMemoSlots = size_t{1} << kSubkeyMemoBits;
 
 uint32_t
 readU32(const uint8_t *p)
@@ -500,27 +493,6 @@ FrozenTable::decode(const events::FieldSchema &schema)
     return util::Status::Ok();
 }
 
-uint64_t
-FrozenTable::eventSubkey(
-    const TypeView &tv,
-    const std::vector<events::FieldValue> &fields) const
-{
-    // Must match MemoTable::eventSubkey bit for bit: same seed, same
-    // presence-bit mixing, same ascending selected-event order.
-    uint64_t h = 0xe4e27000ULL;
-    for (uint32_t i = 0; i < tv.nselected; ++i) {
-        if (!tv.is_event[i])
-            continue;
-        events::FieldId fid = tv.selected[i];
-        const events::FieldValue *fv = events::findField(fields, fid);
-        uint64_t present = fv ? 1 : 0;
-        uint64_t v = fv ? fv->value : 0;
-        h = util::mixCombine(
-            h, util::mixCombine(fid, util::mixCombine(present, v)));
-    }
-    return h;
-}
-
 bool
 FrozenTable::probe(const TypeView &tv, uint64_t subkey,
                    uint32_t *begin, uint32_t *count) const
@@ -542,27 +514,10 @@ FrozenTable::probe(const TypeView &tv, uint64_t subkey,
     return false;  // crafted full index: bounded, clean miss
 }
 
-FrozenProbe
-FrozenTable::probeEvent(const events::EventObject &ev) const
-{
-    const TypeView &tv = types_[static_cast<int>(ev.type)];
-    FrozenProbe p;
-    if (tv.nselected == 0)
-        return p;
-    uint64_t subkey = eventSubkey(tv, ev.fields);
-    uint32_t begin = 0, count = 0;
-    if (probe(tv, subkey, &begin, &count)) {
-        p.begin = begin;
-        p.count = count;
-    }
-    return p;
-}
-
 FrozenLookup
-FrozenTable::finishLookup(const events::EventObject &ev,
-                          const games::Game &game,
-                          LookupScratch &scratch,
-                          FrozenProbe pr) const
+FrozenTable::lookup(const events::EventObject &ev,
+                    const games::Game &game,
+                    LookupScratch &scratch) const
 {
     const TypeView &tv = types_[static_cast<int>(ev.type)];
     FrozenLookup res;
@@ -572,28 +527,14 @@ FrozenTable::finishLookup(const events::EventObject &ev,
     // Same accounting as MemoTable::lookup: gathering the selected
     // inputs costs their size even when no candidates exist.
     res.bytes_scanned = tv.selected_bytes;
-    if (pr.count == 0)
+    uint32_t begin = 0, count = 0;
+    if (!probe(tv, eventSubkey(tv.selectedSet(), ev.fields), &begin,
+               &count))
         return res;
 
-    size_t n = tv.nselected;
-    scratch.values.resize(n);
-    scratch.present.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        events::FieldId fid = tv.selected[i];
-        if (tv.is_event[i]) {
-            const events::FieldValue *fv =
-                events::findField(ev.fields, fid);
-            scratch.present[i] = fv != nullptr;
-            scratch.values[i] = fv ? fv->value : 0;
-        } else {
-            uint64_t v = 0;
-            scratch.present[i] = game.gatherInputValue(fid, v);
-            scratch.values[i] = v;
-        }
-    }
-
+    gatherSelected(tv.selectedSet(), ev, game, scratch);
     // One adjacent run of entries; keys are flat parallel arrays.
-    for (uint32_t e = pr.begin; e < pr.begin + pr.count; ++e) {
+    for (uint32_t e = begin; e < begin + count; ++e) {
         ++res.candidates;
         res.bytes_scanned +=
             tv.entry_bytes[e] + MemoTable::kEntryHeaderBytes;
@@ -619,239 +560,6 @@ FrozenTable::finishLookup(const events::EventObject &ev,
     return res;
 }
 
-FrozenLookup
-FrozenTable::lookup(const events::EventObject &ev,
-                    const games::Game &game,
-                    LookupScratch &scratch) const
-{
-    return finishLookup(ev, game, scratch, probeEvent(ev));
-}
-
-namespace {
-
-/**
- * Stable counting sort of a block by event type: scratch.order holds
- * the event indices grouped by type, original order preserved within
- * a group; scratch.type_begin[t] .. [t + 1] is type t's range.
- */
-void
-groupByType(std::span<const events::EventObject> evs,
-            BatchLookupScratch &scratch)
-{
-    std::array<uint32_t, events::kNumEventTypes> counts{};
-    for (const auto &ev : evs)
-        ++counts[static_cast<int>(ev.type)];
-    uint32_t run = 0;
-    std::array<uint32_t, events::kNumEventTypes> cursor{};
-    scratch.type_begin.resize(events::kNumEventTypes + 1);
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        scratch.type_begin[t] = run;
-        cursor[t] = run;
-        run += counts[t];
-    }
-    scratch.type_begin[events::kNumEventTypes] = run;
-    scratch.order.resize(evs.size());
-    for (uint32_t i = 0; i < evs.size(); ++i)
-        scratch.order[cursor[static_cast<int>(evs[i].type)]++] = i;
-}
-
-}  // namespace
-
-uint64_t
-FrozenTable::nextTableId()
-{
-    static std::atomic<uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-FrozenTable::probeGroup(std::span<const events::EventObject> evs,
-                        int t, uint32_t gb, uint32_t ge,
-                        std::span<FrozenProbe> out,
-                        BatchLookupScratch &scratch) const
-{
-    // Canonical-layout fast path: events of one type almost always
-    // carry the handler's field set sorted by id, so every selected
-    // event field sits at a fixed position in ev.fields. The map of
-    // those positions is cached in the scratch per type (layouts are
-    // a property of the handler spec, so it rarely changes) and
-    // rebuilt from the group's first event when the table id or the
-    // first event's layout stops matching. Per event, the map is
-    // trusted only when the field vector's id sequence is identical
-    // to the one the map was built from — findField is a pure
-    // function of the id sequence, so identical sequences resolve
-    // every field to the mapped position, duplicates and all.
-    // Anything else takes the generic findField walk — the subkey
-    // is identical either way.
-    const TypeView &tv = types_[t];
-    if (scratch.group_maps.size() < events::kNumEventTypes)
-        scratch.group_maps.resize(events::kNumEventTypes);
-    BatchLookupScratch::GroupMap &gm = scratch.group_maps[t];
-    const std::vector<events::FieldValue> &first =
-        evs[scratch.order[gb]].fields;
-
-    // Same id sequence the map was built from? Then findField
-    // resolves every field id to the same position it did for the
-    // map's source event, so the mapped positions are exactly the
-    // ones the generic walk would use.
-    auto verify = [&gm](const events::FieldValue *flds, size_t sz) {
-        if (sz != gm.nf)
-            return false;
-        const events::FieldId *exp = gm.expected_ids.data();
-        bool ok = true;
-        for (uint32_t q = 0; q < gm.nf; ++q)
-            ok &= flds[q].id == exp[q];
-        return ok;
-    };
-
-    if (gm.table_id != id_ || !gm.layout_ok ||
-        !verify(first.data(), first.size())) {
-        gm.table_id = id_;
-        gm.event_pos.clear();
-        gm.event_fid.clear();
-        gm.layout_ok = true;
-        for (uint32_t i = 0; i < tv.nselected && gm.layout_ok;
-             ++i) {
-            if (!tv.is_event[i])
-                continue;
-            uint32_t p = 0;
-            while (p < first.size() &&
-                   first[p].id != tv.selected[i])
-                ++p;
-            if (p == first.size()) {
-                gm.layout_ok = false;
-            } else {
-                gm.event_pos.push_back(p);
-                gm.event_fid.push_back(tv.selected[i]);
-            }
-        }
-        gm.nf = static_cast<uint32_t>(first.size());
-        gm.expected_ids.resize(first.size());
-        for (size_t q = 0; q < first.size(); ++q)
-            gm.expected_ids[q] = first[q].id;
-        // One memo tag per (table, field-map, width) so memo
-        // entries written against another type — or another table,
-        // whose cached probe ranges would be meaningless here —
-        // can never alias.
-        gm.tag = util::mixCombine(0x5b8f00ULL, id_);
-        gm.tag = util::mixCombine(gm.tag, gm.event_pos.size());
-        for (uint32_t fid : gm.event_fid)
-            gm.tag = util::mixCombine(gm.tag, fid);
-    }
-
-    const bool layout_ok = gm.layout_ok;
-    const uint32_t m = static_cast<uint32_t>(gm.event_pos.size());
-    const uint32_t *event_pos = gm.event_pos.data();
-    const uint32_t *event_fid = gm.event_fid.data();
-    const uint64_t map_tag = gm.tag;
-
-    // Canonical subkey for one field-vector known to hold its
-    // selected fields at the mapped positions.
-    auto canonSubkey = [&](const events::FieldValue *flds) {
-        uint64_t h = 0xe4e27000ULL;
-        for (uint32_t j = 0; j < m; ++j)
-            h = util::mixCombine(
-                h, util::mixCombine(
-                       event_fid[j],
-                       util::mixCombine(
-                           1, flds[event_pos[j]].value)));
-        return h;
-    };
-
-    // The subkey memo engages for canonical tuples of up to four
-    // fields.
-    const bool memoable = layout_ok && m <= 4;
-    if (memoable && scratch.subkey_memo.empty())
-        scratch.subkey_memo.resize(kSubkeyMemoSlots);
-
-
-    // One fused pass: a memo hit yields the resolved probe
-    // (probe(table, subkey) is a pure function of the
-    // immutable arena, and the tag includes the table id, so a
-    // cached range can never come from another table) — hit events
-    // never touch the index at all. Only memo misses and
-    // non-canonical events walk the index, and those are the
-    // minority, so a prefetched second pass would mostly be
-    // overhead.
-    for (uint32_t cur = gb; cur < ge; ++cur) {
-        uint32_t idx = scratch.order[cur];
-        const std::vector<events::FieldValue> &flds =
-            evs[idx].fields;
-        bool fast = layout_ok && verify(flds.data(), flds.size());
-        if (fast && memoable) {
-            // Memoized path: fold the tuple into a slot index,
-            // trust the cached result only on an exact tag + tuple
-            // match.
-            uint64_t vals[4] = {0, 0, 0, 0};
-            uint64_t fold = map_tag;
-            for (uint32_t j = 0; j < m; ++j) {
-                vals[j] = flds[event_pos[j]].value;
-                fold ^= vals[j] * 0x9e3779b97f4a7c15ULL +
-                        (static_cast<uint64_t>(j) << 56);
-            }
-            fold *= 0xbf58476d1ce4e5b9ULL;
-            BatchLookupScratch::SubkeyMemo &slot =
-                scratch.subkey_memo[fold >> (64 - kSubkeyMemoBits)];
-            if (slot.m == m && slot.tag == map_tag &&
-                slot.vals[0] == vals[0] &&
-                slot.vals[1] == vals[1] &&
-                slot.vals[2] == vals[2] &&
-                slot.vals[3] == vals[3]) {
-                out[idx] = FrozenProbe{slot.begin, slot.count};
-                continue;
-            }
-            uint64_t h = canonSubkey(flds.data());
-            FrozenProbe p;
-            uint32_t begin = 0, count = 0;
-            if (probe(tv, h, &begin, &count)) {
-                p.begin = begin;
-                p.count = count;
-            }
-            slot.tag = map_tag;
-            slot.vals[0] = vals[0];
-            slot.vals[1] = vals[1];
-            slot.vals[2] = vals[2];
-            slot.vals[3] = vals[3];
-            slot.begin = p.begin;
-            slot.count = p.count;
-            slot.m = m;
-            out[idx] = p;
-            continue;
-        }
-        uint64_t h = fast ? canonSubkey(flds.data())
-                          : eventSubkey(tv, flds);
-        FrozenProbe p;
-        uint32_t begin = 0, count = 0;
-        if (probe(tv, h, &begin, &count)) {
-            p.begin = begin;
-            p.count = count;
-        }
-        out[idx] = p;
-    }
-}
-
-void
-FrozenTable::probeBatch(std::span<const events::EventObject> evs,
-                        std::span<FrozenProbe> out,
-                        BatchLookupScratch &scratch) const
-{
-    groupByType(evs, scratch);
-
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        uint32_t gb = scratch.type_begin[t];
-        uint32_t ge = scratch.type_begin[t + 1];
-        if (gb == ge)
-            continue;
-        const TypeView &tv = types_[t];
-        if (tv.nselected == 0) {
-            for (uint32_t k = gb; k < ge; ++k)
-                out[scratch.order[k]] = FrozenProbe{};
-            continue;
-        }
-        probeGroup(evs, t, gb, ge, out, scratch);
-    }
-}
-
 bool
 FrozenTable::containsRecord(const games::HandlerExecution &rec) const
 {
@@ -859,45 +567,21 @@ FrozenTable::containsRecord(const games::HandlerExecution &rec) const
     if (tv.nselected == 0)
         return false;
 
-    const std::vector<events::FieldValue> *inputs = &rec.inputs;
-    std::vector<events::FieldValue> sorted_inputs;
-    if (!std::is_sorted(rec.inputs.begin(), rec.inputs.end(),
-                        [](const events::FieldValue &a,
-                           const events::FieldValue &b) {
-                            return a.id < b.id;
-                        })) {
-        sorted_inputs = rec.inputs;
-        events::canonicalize(sorted_inputs);
-        inputs = &sorted_inputs;
-    }
-
-    // Project onto the selected set exactly as MemoTable::insert
-    // does, then compare against the bucket like its dedup check.
-    std::vector<uint32_t> slots;
-    std::vector<uint64_t> values;
-    size_t si = 0;
-    for (const auto &fv : *inputs) {
-        while (si < tv.nselected && tv.selected[si] < fv.id)
-            ++si;
-        if (si < tv.nselected && tv.selected[si] == fv.id) {
-            slots.push_back(static_cast<uint32_t>(si));
-            values.push_back(fv.value);
-        }
-    }
-
-    uint64_t subkey = eventSubkey(tv, *inputs);
+    // MemoTable::insert's projection and duplicate check, against
+    // the bucket's flat key arrays.
+    ProjectedKey key = projectRecord(tv.selectedSet(), rec.inputs);
     uint32_t begin = 0, count = 0;
-    if (!probe(tv, subkey, &begin, &count))
+    if (!probe(tv, key.subkey, &begin, &count))
         return false;
     for (uint32_t e = begin; e < begin + count; ++e) {
         uint32_t nk = tv.key_off[e + 1] - tv.key_off[e];
-        if (nk != slots.size())
+        if (nk != key.slots.size())
             continue;
         bool same = true;
         for (uint32_t k = 0; k < nk; ++k) {
             uint32_t off = tv.key_off[e] + k;
-            if (tv.key_slots[off] != slots[k] ||
-                tv.key_values[off] != values[k]) {
+            if (tv.key_slots[off] != key.slots[k] ||
+                tv.key_values[off] != key.fields[k].value) {
                 same = false;
                 break;
             }

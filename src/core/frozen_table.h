@@ -6,9 +6,12 @@
  * linear probing) per event type whose slots point at ranges of
  * structure-of-arrays entry storage — key slots, key values, output
  * ids/values and entry sizes each in one flat array, the entries of
- * a bucket adjacent. A lookup is one index probe plus a linear scan
- * of adjacent memory: zero per-entry pointer chasing and zero
- * allocations.
+ * a bucket adjacent. lookup() is the one entry point: event subkey,
+ * one index probe, gather of the selected inputs, then a linear scan
+ * of adjacent memory, with zero per-entry pointer chasing and zero
+ * allocations. The subkey, gather and record projection are the same
+ * functions MemoTable uses (memo_table.h), so both layouts key and
+ * match entries identically.
  *
  * The arena's in-memory layout *is* its on-wire layout (the "SNPF"
  * section of a v2 model package), so OTA deploy can construct a
@@ -25,7 +28,6 @@
 #include <array>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/memo_table.h"
@@ -39,7 +41,11 @@ constexpr uint32_t kFrozenMagic = 0x534e5046;
 /** Frozen arena format version. */
 constexpr uint32_t kFrozenVersion = 1;
 
-/** Result of one frozen-table lookup (mirrors MemoLookup). */
+/**
+ * Result of one frozen-table lookup: MemoLookup's outcome and
+ * accounting, with the matched entry given as an ordinal and views of
+ * its outputs instead of a MemoEntry pointer.
+ */
 struct FrozenLookup {
     bool hit = false;
     /** Candidate entries scanned under the event-subkey index. */
@@ -57,84 +63,6 @@ struct FrozenLookup {
     uint32_t nout = 0;
     const events::FieldId *out_ids = nullptr;
     const uint64_t *out_values = nullptr;
-};
-
-/**
- * A resolved index probe for one event: the candidate-entry range
- * its event subkey selects. count == 0 means no bucket (or the
- * event's type is undeployed). Probes depend only on the event's
- * fields and the immutable arena, so they stay valid for the
- * table's lifetime and can be precomputed ahead of the decide loop
- * (probeBatch / SnipScheme::prepareBatch).
- */
-struct FrozenProbe {
-    uint32_t begin = 0;
-    uint32_t count = 0;
-};
-
-/**
- * Caller-owned reusable buffers for probeBatch: the type-grouping
- * order, the cached per-type layout maps and the subkey/probe memo.
- * Reusing one scratch across blocks makes probeBatch
- * allocation-free once the buffers have grown to the block size.
- */
-struct BatchLookupScratch {
-    /** Event indices grouped by type (original order within). */
-    std::vector<uint32_t> order;
-    /** Group boundaries into order: [type] .. [type + 1]. */
-    std::vector<uint32_t> type_begin;
-    /**
-     * Cached canonical-layout map for one event type: where each
-     * selected event field sits in the type's canonical field
-     * vector. Layouts are a property of the handler spec, so the
-     * map survives across blocks; it is keyed by the owning
-     * table's unique id (monotonic, never reused — a recycled heap
-     * address cannot alias) and rebuilt whenever the id or the
-     * group's first event stops matching. Events are still
-     * verified against the map individually, so a stale map can
-     * only cost speed, never correctness.
-     */
-    struct GroupMap {
-        uint64_t table_id = 0;  // 0 = never built
-        bool layout_ok = false;
-        /** Canonical field-vector size. */
-        uint32_t nf = 0;
-        /** Subkey-memo tag for this (table, field-map, width). */
-        uint64_t tag = 0;
-        /** The canonical id sequence (the map's source event's
-         *  ids, in order): an event whose id sequence equals this
-         *  one resolves every findField exactly as the source
-         *  event did. */
-        std::vector<events::FieldId> expected_ids;
-        /** Selected event fields' positions in the canonical
-         *  layout (compact, ascending selected order) and their
-         *  field ids. */
-        std::vector<uint32_t> event_pos;
-        std::vector<uint32_t> event_fid;
-    };
-    /** Per-type cached layout maps (indexed by event type). */
-    std::vector<GroupMap> group_maps;
-
-    /**
-     * Direct-mapped subkey/probe memo: event streams repeat the
-     * same selected-field value tuples constantly (the premise the
-     * memo table itself rests on), and the subkey mix chain plus
-     * the index walk are the batch path's hottest computations.
-     * Keyed by the full value tuple plus a tag of the type's
-     * selected event fields and the owning table's unique id,
-     * compared exactly on every probe, so a cached entry is always
-     * what the mix chain and index walk would produce — a memo hit
-     * skips both.
-     */
-    struct alignas(64) SubkeyMemo {
-        uint64_t tag = 0;  // field map + table id fingerprint
-        uint64_t vals[4] = {0, 0, 0, 0};
-        /** Cached probe result for (table, tuple). */
-        uint32_t begin = 0;
-        uint32_t count = 0;
-        uint32_t m = ~0u;  // tuple width; ~0u = empty slot
-    };
-    std::vector<SubkeyMemo> subkey_memo;
 };
 
 /**
@@ -184,42 +112,12 @@ class FrozenTable
                         LookupScratch &scratch) const;
 
     /**
-     * Resolve the index probe for one event: subkey hash plus the
-     * open-addressing walk, no gathering or comparing. lookup() is
-     * exactly finishLookup(ev, ..., probeEvent(ev)).
-     */
-    FrozenProbe probeEvent(const events::EventObject &ev) const;
-
-    /**
-     * Complete a lookup from a precomputed probe: charge the gather
-     * cost, gather the selected inputs, and scan the probe's
-     * candidate range. Identical accounting to lookup() — the probe
-     * merely skips recomputing the subkey and index walk.
-     */
-    FrozenLookup finishLookup(const events::EventObject &ev,
-                              const games::Game &game,
-                              LookupScratch &scratch,
-                              FrozenProbe probe) const;
-
-    /**
-     * Resolve index probes for a block of events: the block is
-     * grouped by event type (stable counting sort) so each type's
-     * index is walked while cache-resident, and repeated
-     * selected-field tuples are served from the scratch's subkey
-     * memo without touching the index. No software prefetch: memo
-     * hits never walk the index, so it would mostly be overhead.
-     * Writes out[i] = probeEvent(evs[i]).
-     */
-    void probeBatch(std::span<const events::EventObject> evs,
-                    std::span<FrozenProbe> out,
-                    BatchLookupScratch &scratch) const;
-
-    /**
      * Whether an observed execution is already memoized: projects
-     * the record onto the type's selected fields and compares
-     * against the bucket's entries exactly as MemoTable::insert's
-     * duplicate check would. Used to keep online-fill overlays free
-     * of entries the frozen table already holds.
+     * the record onto the type's selected fields (projectRecord) and
+     * compares against the bucket's entries exactly as
+     * MemoTable::insert's duplicate check does. Used to keep
+     * online-fill overlays free of entries the frozen table already
+     * holds.
      */
     bool containsRecord(const games::HandlerExecution &rec) const;
 
@@ -294,24 +192,16 @@ class FrozenTable
         const events::FieldId *out_ids = nullptr;
         const uint64_t *out_values = nullptr;
         const uint32_t *entry_bytes = nullptr;
+
+        SelectedSet selectedSet() const
+        {
+            return {selected, is_event, nselected};
+        }
     };
 
-    uint64_t eventSubkey(const TypeView &tv,
-                         const std::vector<events::FieldValue>
-                             &fields) const;
     /** Probe the index for @p subkey; false = no bucket. */
     bool probe(const TypeView &tv, uint64_t subkey, uint32_t *begin,
                uint32_t *count) const;
-    /**
-     * Subkey + probe pass for one type group (order[gb..ge) in
-     * scratch, all of type @p t): writes the group's probes into
-     * @p out (original indices). Reuses (or rebuilds) the type's
-     * cached layout map, scratch.group_maps[t].
-     */
-    void probeGroup(std::span<const events::EventObject> evs,
-                    int t, uint32_t gb, uint32_t ge,
-                    std::span<FrozenProbe> out,
-                    BatchLookupScratch &scratch) const;
     /** Decode directory + validate everything; data_/size_ set. */
     util::Status decode(const events::FieldSchema &schema);
 
@@ -327,11 +217,6 @@ class FrozenTable
     std::array<TypeView, events::kNumEventTypes> types_{};
     size_t total_entries_ = 0;
     uint64_t total_bytes_ = 0;
-    /** Unique per-instance id (monotonic, never reused) keying the
-     *  cached layout maps in BatchLookupScratch. */
-    uint64_t id_ = nextTableId();
-
-    static uint64_t nextTableId();
 };
 
 }  // namespace core

@@ -10,6 +10,83 @@
 namespace snip {
 namespace core {
 
+uint64_t
+eventSubkey(SelectedSet sel,
+            const std::vector<events::FieldValue> &fields)
+{
+    uint64_t h = 0xe4e27000ULL;
+    for (uint32_t i = 0; i < sel.size; ++i) {
+        if (!sel.is_event[i])
+            continue;
+        events::FieldId fid = sel.ids[i];
+        const events::FieldValue *fv = events::findField(fields, fid);
+        // Mix an explicit presence bit instead of a sentinel value:
+        // a missing field must never hash like any real value
+        // (UINT64_MAX is legitimate field content).
+        uint64_t present = fv ? 1 : 0;
+        uint64_t v = fv ? fv->value : 0;
+        h = util::mixCombine(
+            h, util::mixCombine(fid, util::mixCombine(present, v)));
+    }
+    return h;
+}
+
+void
+gatherSelected(SelectedSet sel, const events::EventObject &ev,
+               const games::Game &game, LookupScratch &scratch)
+{
+    // resize only grows capacity the first time a type this wide is
+    // gathered.
+    scratch.values.resize(sel.size);
+    scratch.present.resize(sel.size);
+    for (uint32_t i = 0; i < sel.size; ++i) {
+        events::FieldId fid = sel.ids[i];
+        if (sel.is_event[i]) {
+            const events::FieldValue *fv =
+                events::findField(ev.fields, fid);
+            scratch.present[i] = fv != nullptr;
+            scratch.values[i] = fv ? fv->value : 0;
+        } else {
+            uint64_t v = 0;
+            scratch.present[i] = game.gatherInputValue(fid, v);
+            scratch.values[i] = v;
+        }
+    }
+}
+
+ProjectedKey
+projectRecord(SelectedSet sel,
+              const std::vector<events::FieldValue> &inputs)
+{
+    // The two-pointer projection below requires inputs sorted by id;
+    // records from non-canonical producers get a sorted local copy
+    // (an unsorted record must not silently drop key fields).
+    const std::vector<events::FieldValue> *in = &inputs;
+    std::vector<events::FieldValue> sorted;
+    if (!std::is_sorted(inputs.begin(), inputs.end(),
+                        [](const events::FieldValue &a,
+                           const events::FieldValue &b) {
+                            return a.id < b.id;
+                        })) {
+        sorted = inputs;
+        events::canonicalize(sorted);
+        in = &sorted;
+    }
+
+    ProjectedKey key;
+    uint32_t si = 0;
+    for (const auto &fv : *in) {
+        while (si < sel.size && sel.ids[si] < fv.id)
+            ++si;
+        if (si < sel.size && sel.ids[si] == fv.id) {
+            key.fields.push_back(fv);
+            key.slots.push_back(si);
+        }
+    }
+    key.subkey = eventSubkey(sel, *in);
+    return key;
+}
+
 MemoTable::MemoTable(const events::FieldSchema &schema)
     : schema_(schema)
 {
@@ -25,17 +102,14 @@ MemoTable::setSelected(events::EventType type,
                     "first", events::eventTypeName(type));
     std::sort(selected.begin(), selected.end());
     tt.selected = std::move(selected);
-    tt.selected_event.clear();
     tt.selected_is_event.clear();
     tt.selected_bytes = 0;
     for (events::FieldId fid : tt.selected) {
         const auto &d = schema_.def(fid);
         tt.selected_bytes += d.size_bytes;
-        bool is_event = d.side == events::FieldSide::Input &&
-                        d.in_cat == events::InputCategory::Event;
-        tt.selected_is_event.push_back(is_event);
-        if (is_event)
-            tt.selected_event.push_back(fid);
+        tt.selected_is_event.push_back(
+            d.side == events::FieldSide::Input &&
+            d.in_cat == events::InputCategory::Event);
     }
 }
 
@@ -51,25 +125,6 @@ MemoTable::selectedBytes(events::EventType type) const
     return types_[static_cast<int>(type)].selected_bytes;
 }
 
-uint64_t
-MemoTable::eventSubkey(
-    const TypeTable &tt,
-    const std::vector<events::FieldValue> &fields) const
-{
-    uint64_t h = 0xe4e27000ULL;
-    for (events::FieldId fid : tt.selected_event) {
-        const events::FieldValue *fv = events::findField(fields, fid);
-        // Mix an explicit presence bit instead of a sentinel value:
-        // a missing field must never hash like any real value
-        // (UINT64_MAX is legitimate field content).
-        uint64_t present = fv ? 1 : 0;
-        uint64_t v = fv ? fv->value : 0;
-        h = util::mixCombine(
-            h, util::mixCombine(fid, util::mixCombine(present, v)));
-    }
-    return h;
-}
-
 void
 MemoTable::insert(const games::HandlerExecution &rec)
 {
@@ -77,44 +132,15 @@ MemoTable::insert(const games::HandlerExecution &rec)
     if (tt.selected.empty())
         return;  // type not deployed
 
-    // The two-pointer projection below requires inputs sorted by id;
-    // records from non-canonical producers get a sorted local copy
-    // (an unsorted record must not silently drop key fields).
-    const std::vector<events::FieldValue> *inputs = &rec.inputs;
-    std::vector<events::FieldValue> sorted_inputs;
-    if (!std::is_sorted(rec.inputs.begin(), rec.inputs.end(),
-                        [](const events::FieldValue &a,
-                           const events::FieldValue &b) {
-                            return a.id < b.id;
-                        })) {
-        sorted_inputs = rec.inputs;
-        events::canonicalize(sorted_inputs);
-        inputs = &sorted_inputs;
-    }
-
-    // Project inputs onto the selected set (both sorted by id),
-    // keeping each key field's slot within the selected layout.
-    std::vector<events::FieldValue> key;
-    std::vector<uint32_t> slots;
-    size_t si = 0;
-    for (const auto &fv : *inputs) {
-        while (si < tt.selected.size() && tt.selected[si] < fv.id)
-            ++si;
-        if (si < tt.selected.size() && tt.selected[si] == fv.id) {
-            key.push_back(fv);
-            slots.push_back(static_cast<uint32_t>(si));
-        }
-    }
-
-    uint64_t subkey = eventSubkey(tt, *inputs);
-    auto &bucket = tt.buckets[subkey];
+    ProjectedKey key = projectRecord(tt.selectedSet(), rec.inputs);
+    auto &bucket = tt.buckets[key.subkey];
     for (const auto &e : bucket) {
-        if (e.key_fields == key)
+        if (e.key_fields == key.fields)
             return;  // already memoized (append-only semantics)
     }
     MemoEntry entry;
-    entry.key_fields = std::move(key);
-    entry.key_slots = std::move(slots);
+    entry.key_fields = std::move(key.fields);
+    entry.key_slots = std::move(key.slots);
     entry.outputs = rec.outputs;
     uint64_t bytes = 0;
     for (const auto &fv : entry.key_fields)
@@ -141,31 +167,11 @@ MemoTable::lookup(const events::EventObject &ev,
     // table has no candidates (they must be loaded to compare).
     res.bytes_scanned = tt.selected_bytes;
 
-    uint64_t subkey = eventSubkey(tt, ev.fields);
-    auto it = tt.buckets.find(subkey);
+    auto it = tt.buckets.find(eventSubkey(tt.selectedSet(), ev.fields));
     if (it == tt.buckets.end())
         return res;
 
-    // Gather current values of the selected fields once, into the
-    // caller's reusable slot layout (resize only grows capacity the
-    // first time a type this wide is looked up).
-    size_t n = tt.selected.size();
-    scratch.values.resize(n);
-    scratch.present.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        events::FieldId fid = tt.selected[i];
-        if (tt.selected_is_event[i]) {
-            const events::FieldValue *fv =
-                events::findField(ev.fields, fid);
-            scratch.present[i] = fv != nullptr;
-            scratch.values[i] = fv ? fv->value : 0;
-        } else {
-            uint64_t v = 0;
-            scratch.present[i] = game.gatherInputValue(fid, v);
-            scratch.values[i] = v;
-        }
-    }
-
+    gatherSelected(tt.selectedSet(), ev, game, scratch);
     for (const MemoEntry &e : it->second) {
         ++res.candidates;
         res.bytes_scanned += e.entry_bytes + kEntryHeaderBytes;
@@ -186,14 +192,6 @@ MemoTable::lookup(const events::EventObject &ev,
         }
     }
     return res;
-}
-
-MemoLookup
-MemoTable::lookup(const events::EventObject &ev,
-                  const games::Game &game) const
-{
-    thread_local LookupScratch scratch;
-    return lookup(ev, game, scratch);
 }
 
 std::shared_ptr<const FrozenTable>

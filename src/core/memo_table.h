@@ -77,6 +77,52 @@ struct LookupScratch {
     std::vector<uint8_t> present;
 };
 
+/**
+ * One event type's selected (necessary) fields as both table layouts
+ * hold them: ascending field ids with a parallel per-slot In.Event
+ * flag. The three key rules below read only this view, so MemoTable
+ * and FrozenTable share one definition of each.
+ */
+struct SelectedSet {
+    const events::FieldId *ids = nullptr;
+    const uint8_t *is_event = nullptr;
+    uint32_t size = 0;
+};
+
+/**
+ * The event subkey that picks a lookup's candidate bucket: a hash of
+ * the selected In.Event values found in @p fields, in ascending id
+ * order, so it is computable before any processing.
+ */
+uint64_t eventSubkey(SelectedSet sel,
+                     const std::vector<events::FieldValue> &fields);
+
+/**
+ * Gather the current value of every selected field into @p scratch,
+ * one slot per field of @p sel: In.Event fields from @p ev, the rest
+ * from @p game's live state. Reusing the scratch makes this
+ * allocation-free once it has grown to the widest type.
+ */
+void gatherSelected(SelectedSet sel, const events::EventObject &ev,
+                    const games::Game &game, LookupScratch &scratch);
+
+/** A record's inputs projected onto a type's selected set. */
+struct ProjectedKey {
+    /** Event subkey of the record's inputs. */
+    uint64_t subkey = 0;
+    /** The inputs that are selected fields, ascending id order. */
+    std::vector<events::FieldValue> fields;
+    /** Slot of each key field within the selected set. */
+    std::vector<uint32_t> slots;
+};
+
+/**
+ * Project a record's inputs onto @p sel: the key an insert stores
+ * and a duplicate check compares. The inputs need not be sorted.
+ */
+ProjectedKey projectRecord(
+    SelectedSet sel, const std::vector<events::FieldValue> &inputs);
+
 /** Per-game deployed lookup table. */
 class MemoTable
 {
@@ -124,10 +170,6 @@ class MemoTable
     MemoLookup lookup(const events::EventObject &ev,
                       const games::Game &game,
                       LookupScratch &scratch) const;
-
-    /** Convenience overload with a thread-local scratch. */
-    MemoLookup lookup(const events::EventObject &ev,
-                      const games::Game &game) const;
 
     /**
      * Freeze this table into its immutable deploy-side form (a
@@ -183,7 +225,6 @@ class MemoTable
   private:
     struct TypeTable {
         std::vector<events::FieldId> selected;   // sorted
-        std::vector<events::FieldId> selected_event;    // In.Event subset
         /** Per-slot In.Event flag (parallel to selected); lets
          *  lookup() gather without consulting the schema per field. */
         std::vector<uint8_t> selected_is_event;
@@ -192,11 +233,13 @@ class MemoTable
         std::unordered_map<uint64_t, std::vector<MemoEntry>> buckets;
         size_t entries = 0;
         uint64_t bytes = 0;
-    };
 
-    uint64_t eventSubkey(const TypeTable &tt,
-                         const std::vector<events::FieldValue> &fields)
-        const;
+        SelectedSet selectedSet() const
+        {
+            return {selected.data(), selected_is_event.data(),
+                    static_cast<uint32_t>(selected.size())};
+        }
+    };
 
     events::FieldSchema schema_;
     std::array<TypeTable, events::kNumEventTypes> types_;

@@ -15,9 +15,6 @@ namespace {
 constexpr uint64_t kMinFieldDefBytes = 10;  // len + side + cat + size
 constexpr uint64_t kMinTypeModelBytes = 49; // fixed TypeModel scalars
 constexpr uint64_t kMinFieldIdBytes = 4;
-constexpr uint64_t kMinTableTypeBytes = 9;  // type + nsel + nentries
-constexpr uint64_t kMinEntryBytes = 8;      // nkey + nout
-constexpr uint64_t kMinKeyValueBytes = 12;  // id u32 + value u64
 
 void
 encodeSchema(const events::FieldSchema &schema, util::ByteBuffer &buf)
@@ -102,32 +99,6 @@ decodeFieldIds(util::ByteReader &r,
     return util::Status::Ok();
 }
 
-util::Status
-decodeFieldValues(util::ByteReader &r,
-                  std::vector<events::FieldValue> *values,
-                  const events::FieldSchema &schema,
-                  events::FieldSide side, const char *what)
-{
-    uint32_t n = r.u32();
-    if (!r.fits(n, kMinKeyValueBytes))
-        return util::Status::Errorf("model: truncated %s list", what);
-    values->clear();
-    values->reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        events::FieldValue fv;
-        fv.id = r.u32();
-        fv.value = r.u64();
-        if (r.ok() && (fv.id >= schema.size() ||
-                       schema.def(fv.id).side != side))
-            return util::Status::Errorf("model: bad %s field id %u",
-                                        what, fv.id);
-        values->push_back(fv);
-    }
-    if (!r.ok())
-        return util::Status::Errorf("model: truncated %s list", what);
-    return util::Status::Ok();
-}
-
 /** Package offset where the payload starts (after the header). */
 constexpr size_t kPayloadPackageOffset = 12;
 
@@ -183,8 +154,7 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
 
 /**
  * Decode the shared payload head: game name, schema snapshot,
- * per-type selection metadata and the has-table flag (identical in
- * v1 and v2).
+ * per-type selection metadata and the has-table flag.
  */
 util::Status
 decodeMeta(util::ByteReader &r, SnipModel *model,
@@ -233,63 +203,6 @@ decodeMeta(util::ByteReader &r, SnipModel *model,
     if (flag > 1)
         return util::Status::Errorf("model: bad table flag %u", flag);
     *has_table = flag != 0;
-    return util::Status::Ok();
-}
-
-/** Decode the v1 per-entry table wire format (legacy packages). */
-util::Status
-decodeTableV1(util::ByteReader &r, SnipModel *model,
-              const events::FieldSchema &schema)
-{
-    util::Status st;
-    model->table = std::make_unique<MemoTable>(schema);
-    uint32_t ntable = r.u32();
-    if (!r.fits(ntable, kMinTableTypeBytes))
-        return util::Status::Error("model: truncated table");
-    std::set<uint8_t> seen_types;
-    for (uint32_t i = 0; i < ntable; ++i) {
-        uint8_t type = r.u8();
-        if (r.ok() && (type >= events::kNumEventTypes ||
-                       !seen_types.insert(type).second))
-            return util::Status::Errorf(
-                "model: bad or duplicate table type %u", type);
-        events::EventType t = static_cast<events::EventType>(type);
-        std::vector<events::FieldId> selected;
-        st = decodeFieldIds(r, &selected, "table selection");
-        if (!st.ok())
-            return st;
-        st = checkFieldIds(selected, schema,
-                           events::FieldSide::Input,
-                           "table selection");
-        if (!st.ok())
-            return st;
-        if (selected.empty())
-            return util::Status::Error(
-                "model: table type with empty selection");
-        model->table->setSelected(t, selected);
-
-        uint32_t nentries = r.u32();
-        if (!r.fits(nentries, kMinEntryBytes))
-            return util::Status::Error(
-                "model: truncated entry list");
-        for (uint32_t e = 0; e < nentries; ++e) {
-            games::HandlerExecution rec;
-            rec.type = t;
-            st = decodeFieldValues(r, &rec.inputs, schema,
-                                   events::FieldSide::Input,
-                                   "entry key");
-            if (!st.ok())
-                return st;
-            st = decodeFieldValues(r, &rec.outputs, schema,
-                                   events::FieldSide::Output,
-                                   "entry output");
-            if (!st.ok())
-                return st;
-            model->table->insert(rec);
-        }
-    }
-    if (!r.ok())
-        return util::Status::Error("model: truncated payload");
     return util::Status::Ok();
 }
 
@@ -403,8 +316,7 @@ unpackModel(util::ByteBuffer &buf)
     util::Status st = inspectPackage(buf, &info);
     if (!st.ok())
         return st;
-    if (info.version != kModelVersion &&
-        info.version != kLegacyModelVersion)
+    if (info.version != kModelVersion)
         return util::Status::Errorf(
             "model: unsupported version %u (expected %u)",
             info.version, kModelVersion);
@@ -423,19 +335,14 @@ unpackModel(util::ByteBuffer &buf)
     if (!st.ok())
         return st;
     if (has_table) {
-        if (info.version == kLegacyModelVersion) {
-            st = decodeTableV1(r, &model, schema);
-        } else {
-            // Server-side read of a v2 arena: validate a transient
-            // borrowed view, then rebuild the mutable table from it.
-            std::shared_ptr<const FrozenTable> view;
-            st = decodeArenaV2(buf, r, payload_end, schema, nullptr,
-                               &view);
-            if (st.ok())
-                rebuildTable(*view, schema, &model);
-        }
+        // Server-side read: validate a transient borrowed view of the
+        // arena, then rebuild the mutable table from it.
+        std::shared_ptr<const FrozenTable> view;
+        st = decodeArenaV2(buf, r, payload_end, schema, nullptr,
+                           &view);
         if (!st.ok())
             return st;
+        rebuildTable(*view, schema, &model);
     }
     if (buf.cursor() != payload_end)
         return util::Status::Error(
@@ -452,16 +359,6 @@ deployModel(std::shared_ptr<util::ByteBuffer> pkg)
     util::Status st = inspectPackage(*pkg, &info);
     if (!st.ok())
         return st;
-    if (info.version == kLegacyModelVersion) {
-        // v1: per-entry rebuild, then freeze for the runtime.
-        util::Result<SnipModel> res = unpackModel(*pkg);
-        if (!res.ok())
-            return res.status();
-        SnipModel model = std::move(res.value());
-        if (model.table)
-            model.freeze();
-        return model;
-    }
     if (info.version != kModelVersion)
         return util::Status::Errorf(
             "model: unsupported version %u (expected %u)",

@@ -137,14 +137,6 @@ SnipScheme::decide(const games::Game &game, const events::EventObject &ev,
     auditPending_ = false;
     d.lookup_ran = true;
 
-    // A probe prepareBatch() resolved for this event? Consume it in
-    // order regardless of frozenActive_ (the cursor tracks the
-    // delivery stream), use it only on the frozen path.
-    const FrozenProbe *probe = nullptr;
-    if (preparedCursor_ < preparedSeqs_.size() &&
-        preparedSeqs_[preparedCursor_] == ev.seq)
-        probe = &prepared_[preparedCursor_++];
-
     // Frozen-first lookup with the overlay consulted only on a miss.
     // The scan is equivalent to the old single-table scan: frozen
     // buckets hold the profile entries in their original insertion
@@ -153,9 +145,7 @@ SnipScheme::decide(const games::Game &game, const events::EventObject &ev,
     // selected bytes, charged by both lookups) is counted once.
     bool hit = false;
     if (frozenActive_) {
-        FrozenLookup fres =
-            probe ? frozen_->finishLookup(ev, game, scratch_, *probe)
-                  : frozen_->lookup(ev, game, scratch_);
+        FrozenLookup fres = frozen_->lookup(ev, game, scratch_);
         d.lookup_bytes = fres.bytes_scanned;
         d.lookup_candidates = fres.candidates;
         if (fres.hit) {
@@ -207,18 +197,6 @@ SnipScheme::decide(const games::Game &game, const events::EventObject &ev,
         d.shortcircuit = true;
     }
     return d;
-}
-
-void
-SnipScheme::prepareBatch(std::span<const events::EventObject> evs)
-{
-    prepared_.resize(evs.size());
-    preparedSeqs_.resize(evs.size());
-    frozen_->probeBatch(evs, {prepared_.data(), prepared_.size()},
-                        batchScratch_);
-    for (size_t i = 0; i < evs.size(); ++i)
-        preparedSeqs_[i] = evs[i].seq;
-    preparedCursor_ = 0;
 }
 
 void

@@ -89,20 +89,22 @@ class Scheme
     }
 
     /**
-     * Preferred event-block size for batched deciding (0 = scalar
-     * only). runSession collects up to this many same-frame events,
-     * calls prepareBatch() once, then runs the normal per-event
-     * decide/observe protocol over the block.
+     * Preferred event-block size (0 = one event at a time).
+     * runSession collects up to this many same-frame events, calls
+     * prepareBatch() once, then runs the normal per-event
+     * decide/observe protocol over the block. No library scheme
+     * overrides this or prepareBatch(): SNIP decides each event with
+     * one FrozenTable::lookup. The hooks stay because the
+     * benchmark's tracing wrapper forwards both.
      */
     virtual uint32_t batchBlock() const { return 0; }
 
     /**
      * Hint: the next events, in delivery order, before they are
-     * decided one by one. Schemes may precompute whatever depends
-     * only on the event objects and immutable state (SNIP resolves
-     * its frozen index probes type-grouped); the
-     * per-event decide() must return bitwise-identical Decisions
-     * with or without the hint.
+     * decided one by one. An override may precompute only what
+     * depends on the event objects and immutable state; decide()
+     * must return bitwise-identical Decisions with or without the
+     * hint.
      */
     virtual void prepareBatch(std::span<const events::EventObject> evs)
     {
@@ -241,13 +243,6 @@ class SnipScheme : public Scheme
                     const games::HandlerExecution &truth) override;
     void observe(const games::HandlerExecution &truth) override;
 
-    /** prepareBatch() resolves the block's frozen index probes
-     *  type-grouped (probeBatch), which decide() then consumes per
-     *  event; bitwise-identical to the unprepared path. */
-    uint32_t batchBlock() const override { return 32; }
-    void prepareBatch(
-        std::span<const events::EventObject> evs) override;
-
     /** The frozen table lookups are served from (inspection). */
     const FrozenTable &frozen() const { return *frozen_; }
     /** False after a watchdog clear (overlay-only fallback). */
@@ -306,14 +301,6 @@ class SnipScheme : public Scheme
 
     /** Shared ctor tail: overlay selections, hit counters, obs. */
     void initRuntime();
-
-    /** Probes resolved by prepareBatch(), keyed by event seq and
-     *  consumed in order by decide(); the batch scratch keeps
-     *  prepareBatch() allocation-free across blocks. */
-    BatchLookupScratch batchScratch_;
-    std::vector<FrozenProbe> prepared_;
-    std::vector<uint64_t> preparedSeqs_;
-    size_t preparedCursor_ = 0;
 };
 
 /** Construct a scheme by kind (Snip/NoOverheads need a model). */

@@ -433,8 +433,8 @@ runSession(games::Game &game, Scheme &scheme,
     EventGen gen(game, cfg, std::max<uint32_t>(1, scheme.batchBlock()));
     SessionBody body(game, scheme, cfg);
 
-    // Per block, the scheme's prepareBatch hint (SNIP resolves its
-    // frozen index probes type-grouped), then the per-event stage.
+    // Per block, the scheme's prepareBatch hint, then the per-event
+    // stage.
     GenItem item;
     while (gen.next(item)) {
         if (item.kind == GenItem::Kind::Block) {

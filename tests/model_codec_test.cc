@@ -253,11 +253,24 @@ TEST(ModelCodecTest, VersionMismatchRejected)
     util::ByteBuffer ok_pkg = envelope(payload);
     EXPECT_TRUE(unpackModel(ok_pkg).ok());
 
-    util::ByteBuffer future = envelope(payload, kModelVersion + 1);
-    util::Result<SnipModel> r = unpackModel(future);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("version"),
-              std::string::npos);
+    // Neither the retired per-entry v1 format nor a future version
+    // is read: both the server and the device path name the version
+    // they refused.
+    for (uint32_t version : {1u, kModelVersion + 1}) {
+        SCOPED_TRACE(version);
+        std::string named = "version " + std::to_string(version);
+        util::ByteBuffer pkg = envelope(payload, version);
+        util::Result<SnipModel> r = unpackModel(pkg);
+        ASSERT_FALSE(r.ok());
+        EXPECT_NE(r.status().message().find(named), std::string::npos)
+            << r.status().message();
+        util::Result<SnipModel> dep = deployModel(
+            std::make_shared<util::ByteBuffer>(envelope(payload, version)));
+        ASSERT_FALSE(dep.ok());
+        EXPECT_NE(dep.status().message().find(named),
+                  std::string::npos)
+            << dep.status().message();
+    }
 }
 
 TEST(ModelCodecTest, ValidCrcBadContentRejected)
@@ -329,78 +342,6 @@ TEST(ModelCodecTest, RejectedPackageFallsBackToBaseline)
     SessionResult res = runSession(*game, baseline, cfg);
     EXPECT_GT(res.stats.events, 0u);
     EXPECT_EQ(res.stats.shortcircuits, 0u);
-}
-
-TEST(ModelCodecTest, V1PackageStillLoads)
-{
-    // Fleets upgrade gradually: a legacy v1 package (per-entry table
-    // wire format) must still unpack on the server and deploy on the
-    // device (rebuild + freeze). There is no v1 encoder any more, so
-    // hand-craft the payload.
-    auto game = games::makeGame("colorphun");
-    std::vector<events::FieldId> selected =
-        game->necessaryInputIds(events::EventType::Touch);
-    std::sort(selected.begin(), selected.end());
-    util::Rng rng(31337);
-    std::vector<games::HandlerExecution> recs;
-    std::vector<events::EventObject> evs;
-    for (int i = 0; i < 8; ++i) {
-        events::EventObject ev =
-            game->makeEvent(events::EventType::Touch, 0.0, rng);
-        evs.push_back(ev);
-        recs.push_back(game->process(ev));
-    }
-
-    util::ByteBuffer payload;
-    payload.putString("colorphun");
-    const events::FieldSchema &schema = game->schema();
-    payload.putU32(static_cast<uint32_t>(schema.size()));
-    for (const auto &d : schema.defs()) {
-        payload.putString(d.name);
-        payload.putU8(static_cast<uint8_t>(d.side));
-        payload.putU8(d.side == events::FieldSide::Input
-                          ? static_cast<uint8_t>(d.in_cat)
-                          : static_cast<uint8_t>(d.out_cat));
-        payload.putU32(d.size_bytes);
-    }
-    payload.putU32(0);  // no per-type metadata
-    payload.putU8(1);   // has table
-    payload.putU32(1);  // one deployed type
-    payload.putU8(static_cast<uint8_t>(events::EventType::Touch));
-    payload.putU32(static_cast<uint32_t>(selected.size()));
-    for (events::FieldId fid : selected)
-        payload.putU32(fid);
-    payload.putU32(static_cast<uint32_t>(recs.size()));
-    for (const auto &rec : recs) {
-        payload.putU32(static_cast<uint32_t>(rec.inputs.size()));
-        for (const auto &fv : rec.inputs) {
-            payload.putU32(fv.id);
-            payload.putU64(fv.value);
-        }
-        payload.putU32(static_cast<uint32_t>(rec.outputs.size()));
-        for (const auto &fv : rec.outputs) {
-            payload.putU32(fv.id);
-            payload.putU64(fv.value);
-        }
-    }
-    util::ByteBuffer pkg = envelope(payload, kLegacyModelVersion);
-
-    util::Result<SnipModel> r = unpackModel(pkg);
-    ASSERT_TRUE(r.ok()) << r.status().message();
-    ASSERT_TRUE(r.value().table != nullptr);
-    EXPECT_GT(r.value().table->entryCount(), 0u);
-    // The most recent record matches the game's current state.
-    MemoLookup hit = r.value().table->lookup(evs.back(), *game);
-    EXPECT_TRUE(hit.hit);
-
-    auto shared_pkg = std::make_shared<util::ByteBuffer>(copyOf(pkg));
-    util::Result<SnipModel> dep = deployModel(shared_pkg);
-    ASSERT_TRUE(dep.ok()) << dep.status().message();
-    ASSERT_TRUE(dep.value().frozen != nullptr);
-    // v1 deploys via rebuild: the arena is built, not borrowed.
-    EXPECT_FALSE(dep.value().frozen->zeroCopy());
-    EXPECT_EQ(dep.value().frozen->entryCount(),
-              r.value().table->entryCount());
 }
 
 TEST(ModelCodecTest, DeployModelZeroCopyRunsBitwiseIdentical)

@@ -449,84 +449,6 @@ TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstFrozenTable)
     EXPECT_GT(ref_hits, 0u);
 }
 
-TEST(ParallelRunnerTest, ConcurrentBatchLookupsOnSharedConstFrozenTable)
-{
-    // The batched probe path under the same concurrency contract:
-    // one shared const FrozenTable, 8 threads draining the stream
-    // through probeBatch() + finishLookup() with per-caller scratch
-    // (the SnipScheme prepareBatch()/decide() split), results
-    // identical to a serial scalar pass (tools/ci.sh runs this
-    // under -fsanitize=thread).
-    auto game = games::makeGame("colorphun");
-    BaselineScheme baseline;
-    SimulationConfig cfg;
-    cfg.duration_s = 30.0;
-    cfg.record_events = true;
-    SessionResult res = runSession(*game, baseline, cfg);
-    auto replica = games::makeGame("colorphun");
-    trace::Profile profile =
-        trace::Replayer::replay(res.trace, *replica);
-    SnipConfig scfg;
-    SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_GT(model.table->entryCount(), 0u);
-
-    game->reset();
-    std::shared_ptr<const FrozenTable> frozen =
-        model.table->freeze();
-    const FrozenTable &table = *frozen;         // shared, const
-    const games::Game &cgame = *game;           // shared, const
-    const auto &events = res.trace.events;
-    ASSERT_FALSE(events.empty());
-
-    uint64_t ref_hits = 0, ref_bytes = 0;
-    {
-        LookupScratch scratch;
-        for (const auto &ev : events) {
-            FrozenLookup r = table.lookup(ev, cgame, scratch);
-            ref_hits += r.hit;
-            ref_bytes += r.bytes_scanned;
-        }
-    }
-
-    constexpr unsigned kThreads = 8;
-    constexpr int kRounds = 4;
-    constexpr size_t kBlock = 32;
-    std::vector<uint64_t> hits(kThreads, 0);
-    std::vector<uint64_t> bytes(kThreads, 0);
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        pool.emplace_back([&, t] {
-            BatchLookupScratch batch;  // per-caller, reused
-            LookupScratch scratch;
-            std::vector<FrozenProbe> probes(kBlock);
-            for (int round = 0; round < kRounds; ++round) {
-                for (size_t base = 0; base < events.size();
-                     base += kBlock) {
-                    size_t len =
-                        std::min(kBlock, events.size() - base);
-                    table.probeBatch({events.data() + base, len},
-                                     {probes.data(), len}, batch);
-                    for (size_t k = 0; k < len; ++k) {
-                        FrozenLookup r = table.finishLookup(
-                            events[base + k], cgame, scratch,
-                            probes[k]);
-                        hits[t] += r.hit;
-                        bytes[t] += r.bytes_scanned;
-                    }
-                }
-            }
-        });
-    }
-    for (auto &th : pool)
-        th.join();
-
-    for (unsigned t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(hits[t], ref_hits * kRounds) << "thread " << t;
-        EXPECT_EQ(bytes[t], ref_bytes * kRounds) << "thread " << t;
-    }
-    EXPECT_GT(ref_hits, 0u);
-}
-
 // -------------------------------------------- Shrink-phase parallelism
 
 /** Profile colorphun the way the offline pipeline does. */

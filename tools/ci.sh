@@ -21,10 +21,11 @@
 # OTA model codec and the frozen "SNPF" arena with corrupt packages
 # under asan (truncations and random bit flips must be rejected
 # cleanly — no crashes, no sanitizer reports, including the mmap'd
-# SNCT attach path), and finally replay a 10k-event stream through
-# prepareBatch + decide/observe and the block-wise probeBatch path
-# under asan asserting bitwise-identical decisions against the
-# unprepared scalar path. The fleet OTA backend gets three more
+# SNCT attach path), and finally check under asan that the two table
+# layouts agree on one lookup path: sessions bitwise-identical at
+# every event-block size, frozen and mutable lookups identical over a
+# randomized stream, and unsorted records projected onto the same
+# key by both tables. The fleet OTA backend gets three more
 # stages: the fleet_sim --quick epoch push (delta payload must
 # undercut the full baseline, sharded aggregation must stay
 # bitwise-identical to serial, and the per-cohort staleness report
@@ -178,7 +179,7 @@ TSAN_OPTIONS="halt_on_error=1" \
     --gtest_filter='ChunkedDatasetTest.ThreadInvarianceOnSharedView'
 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/parallel_test \
-    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.ConcurrentBatchLookupsOnSharedConstFrozenTable:ParallelRunnerTest.RunSessionsMatchesSerialBitwise:ShrinkParallelTest.*'
+    --gtest_filter='ParallelRunnerTest.ConcurrentLookupsOnSharedConstTable:ParallelRunnerTest.ConcurrentLookupsOnSharedConstFrozenTable:ParallelRunnerTest.RunSessionsMatchesSerialBitwise:ShrinkParallelTest.*'
 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/obs_test \
     --gtest_filter='ShardedRegistry.*'
@@ -243,8 +244,8 @@ SNIP_FUZZ_ITERS=512 \
     ./build-asan/tests/fleet_test \
     --gtest_filter='Fleet*Fuzz*'
 
-echo "==> batch-equivalence fuzz (prepareBatch/probeBatch vs scalar, asan)"
+echo "==> lookup-path equivalence (block sizes, frozen vs mutable, key projection, asan)"
 ./build-asan/tests/core_test \
-    --gtest_filter='Schemes.DecideBatchMatchesScalarFuzz:MemoTableTest.ProbeBatchMatchesScalarProbe:Simulation.BatchedSessionBitwiseIdentical'
+    --gtest_filter='Simulation.BatchedSessionBitwiseIdentical:MemoTableTest.FrozenEquivalenceOverRandomEvents:MemoTableTest.UnsortedInsertKeepsAllKeyFields'
 
 echo "==> all green"
