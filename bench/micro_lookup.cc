@@ -17,8 +17,13 @@
  *     same event stream against the deployed flat arena and the
  *     mutable build-side table.
  *
+ * BM_SnipObserveKnown times SnipScheme::observe's online-fill dedupe
+ * path (records already in the frozen table or the overlay), with
+ * allocs_per_iter counted the same way.
+ *
  * The binary is also a self-check: it exits nonzero if any lookup
- * thread allocated during its timed loop, or if the frozen and
+ * thread or the dedupe path allocated during its timed loop (or the
+ * dedupe path grew the overlay), or if the frozen and
  * mutable layouts disagree on any hit/miss, candidate count,
  * bytes_scanned, or matched output over the fixture's event stream.
  *
@@ -100,6 +105,8 @@ namespace {
 struct Fixture {
     std::unique_ptr<games::Game> game;
     trace::Profile profile;
+    /** Records of a second session: new to the model's tables. */
+    trace::Profile unseen;
     core::SnipModel model;
     std::shared_ptr<const core::FrozenTable> frozen;
     std::vector<events::EventObject> events;
@@ -120,6 +127,11 @@ struct Fixture {
         model = core::buildSnipModel(profile, *game, scfg);
         frozen = model.table->freeze();
         events = res.trace.events;
+        cfg.seed += 1;
+        core::SessionResult other =
+            core::runSession(*game, baseline, cfg);
+        auto other_replica = games::makeGame("ab_evolution");
+        unseen = trace::Replayer::replay(other.trace, *other_replica);
         for (const auto &t : model.types)
             max_selected = std::max(max_selected,
                                     t.selection.selected.size());
@@ -251,6 +263,47 @@ BM_MemoTableInsert(benchmark::State &state)
         static_cast<double>(table.entryCount());
 }
 BENCHMARK(BM_MemoTableInsert);
+
+/**
+ * The online-fill dedupe path: SnipScheme::observe on records that
+ * are already memoized, half in the frozen table (the profile) and
+ * half in the overlay (a second session's records, observed once
+ * before timing). Every call projects the record, checks the frozen
+ * table and, when absent there, the overlay bucket; none may
+ * allocate or grow the overlay.
+ */
+void
+BM_SnipObserveKnown(benchmark::State &state)
+{
+    Fixture &f = fixture();
+    core::SnipScheme scheme(f.model);
+    const auto &frozen_recs = f.profile.records;
+    const auto &overlay_recs = f.unseen.records;
+    for (const auto &rec : overlay_recs)
+        scheme.observe(rec);
+    size_t overlay_entries = scheme.overlayEntries();
+    for (const auto &rec : frozen_recs)  // grow the reused key
+        scheme.observe(rec);
+
+    size_t i = 0;
+    uint64_t allocs_before = t_allocs;
+    for (auto _ : state) {
+        const auto &recs = i % 2 ? overlay_recs : frozen_recs;
+        scheme.observe(recs[(i / 2) % recs.size()]);
+        ++i;
+    }
+    uint64_t allocs = t_allocs - allocs_before;
+    if (allocs != 0 || scheme.overlayEntries() != overlay_entries)
+        g_alloc_violations.fetch_add(1, std::memory_order_relaxed);
+    state.counters["overlay_entries"] =
+        static_cast<double>(overlay_entries);
+    state.counters["allocs_per_iter"] = benchmark::Counter(
+        static_cast<double>(allocs) /
+        static_cast<double>(state.iterations()));
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SnipObserveKnown);
 
 void
 BM_HandlerProcess(benchmark::State &state)
@@ -395,14 +448,14 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    // Self-check 1: no lookup thread may have allocated inside its
-    // timed loop, at any thread count.
+    // Self-check 1: no lookup thread (at any thread count) and no
+    // dedupe loop may have allocated inside its timed loop.
     uint64_t alloc_violations =
         g_alloc_violations.load(std::memory_order_relaxed);
     if (alloc_violations != 0)
         std::fprintf(stderr,
-                     "FAIL: %llu lookup thread(s) allocated during "
-                     "the timed loop\n",
+                     "FAIL: %llu lookup or dedupe loop(s) allocated "
+                     "during the timed loop\n",
                      static_cast<unsigned long long>(alloc_violations));
 
     // Self-check 2: the frozen and mutable layouts must make

@@ -515,7 +515,7 @@ FrozenTable::probe(const TypeView &tv, uint64_t subkey,
 }
 
 FrozenLookup
-FrozenTable::lookup(const events::EventObject &ev,
+FrozenTable::lookup(const events::EventObject &ev, uint64_t subkey,
                     const games::Game &game,
                     LookupScratch &scratch) const
 {
@@ -528,8 +528,7 @@ FrozenTable::lookup(const events::EventObject &ev,
     // inputs costs their size even when no candidates exist.
     res.bytes_scanned = tv.selected_bytes;
     uint32_t begin = 0, count = 0;
-    if (!probe(tv, eventSubkey(tv.selectedSet(), ev.fields), &begin,
-               &count))
+    if (!probe(tv, subkey, &begin, &count))
         return res;
 
     gatherSelected(tv.selectedSet(), ev, game, scratch);
@@ -561,15 +560,15 @@ FrozenTable::lookup(const events::EventObject &ev,
 }
 
 bool
-FrozenTable::containsRecord(const games::HandlerExecution &rec) const
+FrozenTable::contains(events::EventType type,
+                      const ProjectedKey &key) const
 {
-    const TypeView &tv = types_[static_cast<int>(rec.type)];
+    const TypeView &tv = types_[static_cast<int>(type)];
     if (tv.nselected == 0)
         return false;
 
-    // MemoTable::insert's projection and duplicate check, against
-    // the bucket's flat key arrays.
-    ProjectedKey key = projectRecord(tv.selectedSet(), rec.inputs);
+    // MemoTable::insertKey's duplicate check, against the bucket's
+    // flat key arrays.
     uint32_t begin = 0, count = 0;
     if (!probe(tv, key.subkey, &begin, &count))
         return false;

@@ -109,17 +109,31 @@ class FrozenTable
      */
     FrozenLookup lookup(const events::EventObject &ev,
                         const games::Game &game,
+                        LookupScratch &scratch) const
+    {
+        return lookup(ev, eventSubkey(selectedSet(ev.type), ev.fields),
+                      game, scratch);
+    }
+
+    /**
+     * The one lookup implementation, with the event's @p subkey
+     * already computed (SnipScheme computes it once per event for
+     * both layouts). The gather runs only when the probe finds a
+     * bucket, so on return @p scratch holds this event's gather iff
+     * candidates > 0.
+     */
+    FrozenLookup lookup(const events::EventObject &ev, uint64_t subkey,
+                        const games::Game &game,
                         LookupScratch &scratch) const;
 
     /**
-     * Whether an observed execution is already memoized: projects
-     * the record onto the type's selected fields (projectRecord) and
-     * compares against the bucket's entries exactly as
-     * MemoTable::insert's duplicate check does. Used to keep
+     * Whether an entry of @p type already holds @p key (projected
+     * onto this table's selected set of @p type), compared exactly
+     * as MemoTable::insertKey's duplicate check does. Keeps
      * online-fill overlays free of entries the frozen table already
      * holds.
      */
-    bool containsRecord(const games::HandlerExecution &rec) const;
+    bool contains(events::EventType type, const ProjectedKey &key) const;
 
     /**
      * Visit every entry as a HandlerExecution (inputs = key fields,
@@ -145,6 +159,11 @@ class FrozenTable
     /** Selected fields of a type (empty when undeployed). */
     std::vector<events::FieldId>
     selectedVector(events::EventType type) const;
+    /** The key rules' view of a type's selected fields. */
+    SelectedSet selectedSet(events::EventType type) const
+    {
+        return types_[static_cast<int>(type)].selectedSet();
+    }
     /** Widest selected set across types (scratch pre-sizing). */
     size_t maxSelected() const;
     /** Open-addressing capacity of a type's index (0 = undeployed). */

@@ -54,9 +54,10 @@ gatherSelected(SelectedSet sel, const events::EventObject &ev,
     }
 }
 
-ProjectedKey
+void
 projectRecord(SelectedSet sel,
-              const std::vector<events::FieldValue> &inputs)
+              const std::vector<events::FieldValue> &inputs,
+              ProjectedKey &key)
 {
     // The two-pointer projection below requires inputs sorted by id;
     // records from non-canonical producers get a sorted local copy
@@ -73,7 +74,8 @@ projectRecord(SelectedSet sel,
         in = &sorted;
     }
 
-    ProjectedKey key;
+    key.fields.clear();
+    key.slots.clear();
     uint32_t si = 0;
     for (const auto &fv : *in) {
         while (si < sel.size && sel.ids[si] < fv.id)
@@ -84,7 +86,6 @@ projectRecord(SelectedSet sel,
         }
     }
     key.subkey = eventSubkey(sel, *in);
-    return key;
 }
 
 MemoTable::MemoTable(const events::FieldSchema &schema)
@@ -128,20 +129,27 @@ MemoTable::selectedBytes(events::EventType type) const
 void
 MemoTable::insert(const games::HandlerExecution &rec)
 {
-    TypeTable &tt = types_[static_cast<int>(rec.type)];
-    if (tt.selected.empty())
-        return;  // type not deployed
+    projectRecord(selectedSet(rec.type), rec.inputs, insertScratch_);
+    insertKey(rec.type, insertScratch_, rec.outputs);
+}
 
-    ProjectedKey key = projectRecord(tt.selectedSet(), rec.inputs);
+bool
+MemoTable::insertKey(events::EventType type, const ProjectedKey &key,
+                     const std::vector<events::FieldValue> &outputs)
+{
+    TypeTable &tt = types_[static_cast<int>(type)];
+    if (tt.selected.empty())
+        return false;  // type not deployed
+
     auto &bucket = tt.buckets[key.subkey];
     for (const auto &e : bucket) {
         if (e.key_fields == key.fields)
-            return;  // already memoized (append-only semantics)
+            return false;  // already memoized (append-only semantics)
     }
     MemoEntry entry;
-    entry.key_fields = std::move(key.fields);
-    entry.key_slots = std::move(key.slots);
-    entry.outputs = rec.outputs;
+    entry.key_fields = key.fields;
+    entry.key_slots = key.slots;
+    entry.outputs = outputs;
     uint64_t bytes = 0;
     for (const auto &fv : entry.key_fields)
         bytes += schema_.def(fv.id).size_bytes;
@@ -151,12 +159,13 @@ MemoTable::insert(const games::HandlerExecution &rec)
     tt.bytes += bytes + kEntryHeaderBytes;
     ++tt.entries;
     bucket.push_back(std::move(entry));
+    return true;
 }
 
 MemoLookup
-MemoTable::lookup(const events::EventObject &ev,
-                  const games::Game &game,
-                  LookupScratch &scratch) const
+MemoTable::lookup(const events::EventObject &ev, uint64_t subkey,
+                  const games::Game &game, LookupScratch &scratch,
+                  bool gathered) const
 {
     const TypeTable &tt = types_[static_cast<int>(ev.type)];
     MemoLookup res;
@@ -167,11 +176,12 @@ MemoTable::lookup(const events::EventObject &ev,
     // table has no candidates (they must be loaded to compare).
     res.bytes_scanned = tt.selected_bytes;
 
-    auto it = tt.buckets.find(eventSubkey(tt.selectedSet(), ev.fields));
+    auto it = tt.buckets.find(subkey);
     if (it == tt.buckets.end())
         return res;
 
-    gatherSelected(tt.selectedSet(), ev, game, scratch);
+    if (!gathered)
+        gatherSelected(tt.selectedSet(), ev, game, scratch);
     for (const MemoEntry &e : it->second) {
         ++res.candidates;
         res.bytes_scanned += e.entry_bytes + kEntryHeaderBytes;

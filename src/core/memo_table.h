@@ -106,7 +106,10 @@ uint64_t eventSubkey(SelectedSet sel,
 void gatherSelected(SelectedSet sel, const events::EventObject &ev,
                     const games::Game &game, LookupScratch &scratch);
 
-/** A record's inputs projected onto a type's selected set. */
+/**
+ * A record's inputs projected onto a type's selected set. Keep one
+ * per caller and refill it: projectRecord() reuses its capacity.
+ */
 struct ProjectedKey {
     /** Event subkey of the record's inputs. */
     uint64_t subkey = 0;
@@ -117,11 +120,14 @@ struct ProjectedKey {
 };
 
 /**
- * Project a record's inputs onto @p sel: the key an insert stores
- * and a duplicate check compares. The inputs need not be sorted.
+ * Project a record's inputs onto @p sel into @p key: the key an
+ * insert stores and a duplicate check compares. The inputs need not
+ * be sorted. Sorted inputs and a key that has grown to the widest
+ * type project without allocating.
  */
-ProjectedKey projectRecord(
-    SelectedSet sel, const std::vector<events::FieldValue> &inputs);
+void projectRecord(SelectedSet sel,
+                   const std::vector<events::FieldValue> &inputs,
+                   ProjectedKey &key);
 
 /** Per-game deployed lookup table. */
 class MemoTable
@@ -150,11 +156,20 @@ class MemoTable
 
     /**
      * Insert (or refresh) an entry from a profiled/observed
-     * execution: its inputs are projected onto the selected fields.
-     * Duplicate keys keep the first-inserted outputs (the paper's
-     * table is append-only between re-learns).
+     * execution: projectRecord() onto the type's selected fields,
+     * then insertKey().
      */
     void insert(const games::HandlerExecution &rec);
+
+    /**
+     * Insert an entry under a key already projected onto this
+     * table's selected set of @p type. Duplicate keys keep the
+     * first-inserted outputs (the paper's table is append-only
+     * between re-learns). Returns whether the table grew; an
+     * undeployed type never does.
+     */
+    bool insertKey(events::EventType type, const ProjectedKey &key,
+                   const std::vector<events::FieldValue> &outputs);
 
     /**
      * Look up an event at runtime. Event-side values come from
@@ -169,7 +184,21 @@ class MemoTable
      */
     MemoLookup lookup(const events::EventObject &ev,
                       const games::Game &game,
-                      LookupScratch &scratch) const;
+                      LookupScratch &scratch) const
+    {
+        return lookup(ev, eventSubkey(selectedSet(ev.type), ev.fields),
+                      game, scratch, false);
+    }
+
+    /**
+     * The one lookup implementation, with the event's @p subkey
+     * already computed. When @p gathered is set, @p scratch already
+     * holds this event's gather over the same selected fields (the
+     * frozen probe filled it) and is compared as is.
+     */
+    MemoLookup lookup(const events::EventObject &ev, uint64_t subkey,
+                      const games::Game &game, LookupScratch &scratch,
+                      bool gathered) const;
 
     /**
      * Freeze this table into its immutable deploy-side form (a
@@ -241,8 +270,15 @@ class MemoTable
         }
     };
 
+    SelectedSet selectedSet(events::EventType type) const
+    {
+        return types_[static_cast<int>(type)].selectedSet();
+    }
+
     events::FieldSchema schema_;
     std::array<TypeTable, events::kNumEventTypes> types_;
+    /** insert()'s projection, reused across records. */
+    ProjectedKey insertScratch_;
 };
 
 }  // namespace core

@@ -298,6 +298,9 @@ class SnipScheme : public Scheme
 
     /** Reusable gather buffers: zero-allocation lookups. */
     LookupScratch scratch_;
+    /** observe()'s projection of the record, shared by the frozen
+     *  duplicate check and the overlay insert; reused per event. */
+    ProjectedKey observedKey_;
 
     /** Shared ctor tail: overlay selections, hit counters, obs. */
     void initRuntime();

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -27,6 +28,20 @@ digestOf(const util::ByteBuffer &pkg)
     // 0 means "no version" in the API; remap the (astronomically
     // unlikely) zero digest rather than ban the package.
     return id ? id : 1;
+}
+
+/**
+ * Parse a version id token exactly as saveDir writes it: the whole
+ * token, 1-16 hex digits, no sign and no 0x prefix.
+ */
+bool
+parseHexId(const std::string &tok, VersionId *id)
+{
+    if (tok.empty() || tok.size() > 16)
+        return false;
+    const char *end = tok.data() + tok.size();
+    auto [ptr, ec] = std::from_chars(tok.data(), end, *id, 16);
+    return ec == std::errc() && ptr == end;
 }
 
 std::string
@@ -289,9 +304,15 @@ ModelRegistry::loadDir(const std::string &dir, obs::Registry *obs)
         if (!(ls >> game >> id_hex >> parent_hex >> epoch >> bytes))
             return util::Status::Errorf(
                 "registry: malformed index line %zu", lineno);
-        VersionId id = std::strtoull(id_hex.c_str(), nullptr, 16);
-        VersionId parent =
-            std::strtoull(parent_hex.c_str(), nullptr, 16);
+        VersionId id = 0, parent = 0;
+        if (!parseHexId(id_hex, &id))
+            return util::Status::Errorf(
+                "registry: index line %zu: bad version id '%s'",
+                lineno, id_hex.c_str());
+        if (!parseHexId(parent_hex, &parent))
+            return util::Status::Errorf(
+                "registry: index line %zu: bad parent id '%s'",
+                lineno, parent_hex.c_str());
         auto pkg = std::make_shared<util::ByteBuffer>();
         util::Status st = trace::loadBuffer(
             dir + "/" + id_hex + ".snpm", pkg.get());

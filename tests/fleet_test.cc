@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -450,6 +453,65 @@ TEST(FleetRegistryTest, DeltaMemoizedAndSaveLoadRoundTrip)
     auto fetched = loaded.value().fetch("colorphun", v1.value());
     ASSERT_TRUE(fetched.ok());
     EXPECT_EQ(fetched.value()->data(), packageOf(m1)->data());
+}
+
+// A saved index whose id fields are not exactly 1-16 hex digits is
+// refused with the line named; strtoull used to read "zz12" as 0,
+// which publish() took as "parent = current head".
+TEST(FleetRegistryTest, LoadDirRejectsMalformedIndexIds)
+{
+    core::SnipModel m1 = buildModelFor("colorphun", 10.0, 61);
+    core::SnipModel m2 = buildModelFor("colorphun", 14.0, 62);
+    ModelRegistry reg;
+    ASSERT_TRUE(reg.publish("colorphun", packageOf(m1)).ok());
+    ASSERT_TRUE(reg.publish("colorphun", packageOf(m2)).ok());
+    std::string dir = ::testing::TempDir() + "fleet_reg_bad_index";
+    ASSERT_TRUE(reg.saveDir(dir).ok());
+    ASSERT_TRUE(ModelRegistry::loadDir(dir).ok());
+
+    const std::string path = dir + "/index.txt";
+    std::string index;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        index = ss.str();
+    }
+    // Line 2: game, id, parent, epoch, bytes (tab-separated).
+    size_t line2 = index.find('\n') + 1;
+    size_t id_at = index.find('\t', line2) + 1;
+    size_t parent_at = index.find('\t', id_at) + 1;
+    size_t parent_len = index.find('\t', parent_at) - parent_at;
+    auto withParent = [&](const std::string &tok) {
+        std::string bad = index;
+        bad.replace(parent_at, parent_len, tok);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bad;
+    };
+    for (const char *tok : {"zz12", "12zz", "0x12", "-1", "+1",
+                            "00000000000000001"}) {
+        withParent(tok);
+        auto loaded = ModelRegistry::loadDir(dir);
+        ASSERT_FALSE(loaded.ok()) << tok;
+        EXPECT_NE(loaded.status().message().find("line 2"),
+                  std::string::npos)
+            << loaded.status().message();
+    }
+    // The id field is held to the same rule.
+    std::string bad = index;
+    bad.replace(id_at, 1, "g");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bad;
+    }
+    EXPECT_FALSE(ModelRegistry::loadDir(dir).ok());
+
+    // The untouched index still loads, upper-case digits included.
+    std::string upper = index;
+    for (size_t i = parent_at; i < parent_at + parent_len; ++i)
+        upper[i] = static_cast<char>(std::toupper(upper[i]));
+    withParent(upper.substr(parent_at, parent_len));
+    EXPECT_TRUE(ModelRegistry::loadDir(dir).ok());
 }
 
 // ------------------------------------------------------- epoch push
