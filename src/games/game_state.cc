@@ -11,18 +11,23 @@ namespace games {
 void
 GameState::build(const std::vector<HistoryFieldDecl> &decls)
 {
-    slots_.clear();
-    outToIn_.clear();
-    boundedOrder_.clear();
-    epoch_ = 0;
+    events::FieldId in_end = 0, out_end = 0;
     for (const auto &d : decls) {
         if (d.in_fid == events::kInvalidField ||
             d.out_fid == events::kInvalidField) {
             util::panic("GameState::build: field %s has unbound ids",
                         d.name.c_str());
         }
+        in_end = std::max(in_end, d.in_fid + 1);
+        out_end = std::max(out_end, d.out_fid + 1);
+    }
+    slots_.assign(in_end, Slot{});
+    outToIn_.assign(out_end, events::kInvalidField);
+    boundedOrder_.clear();
+    epoch_ = 0;
+    for (const auto &d : decls) {
         uint64_t init = d.buckets ? d.init % d.buckets : d.init;
-        slots_[d.in_fid] = Slot{init, d.buckets, init};
+        slots_[d.in_fid] = Slot{init, d.buckets, true, init};
         outToIn_[d.out_fid] = d.in_fid;
         if (!d.isAccumulator())
             boundedOrder_.push_back(d.in_fid);
@@ -35,29 +40,27 @@ GameState::build(const std::vector<HistoryFieldDecl> &decls)
 uint64_t
 GameState::get(events::FieldId in_fid) const
 {
-    auto it = slots_.find(in_fid);
-    if (it == slots_.end())
+    if (!isSlot(in_fid))
         util::panic("GameState::get: unknown history field id %u", in_fid);
-    return it->second.value;
+    return slots_[in_fid].value;
 }
 
 bool
 GameState::tryGet(events::FieldId in_fid, uint64_t &value) const
 {
-    auto it = slots_.find(in_fid);
-    if (it == slots_.end())
+    if (!isSlot(in_fid))
         return false;
-    value = it->second.value;
+    value = slots_[in_fid].value;
     return true;
 }
 
 bool
 GameState::apply(events::FieldId out_fid, uint64_t value)
 {
-    auto oit = outToIn_.find(out_fid);
-    if (oit == outToIn_.end())
+    events::FieldId in_fid = inputOf(out_fid);
+    if (in_fid == events::kInvalidField)
         return false;  // Out.Temp / Out.Extern: not state.
-    Slot &slot = slots_[oit->second];
+    Slot &slot = slots_[in_fid];
     uint64_t stored = slot.buckets ? value % slot.buckets : value;
     if (slot.value == stored)
         return false;
@@ -72,16 +75,16 @@ GameState::apply(events::FieldId out_fid, uint64_t value)
 bool
 GameState::isHistoryOutput(events::FieldId out_fid) const
 {
-    return outToIn_.count(out_fid) != 0;
+    return inputOf(out_fid) != events::kInvalidField;
 }
 
 bool
 GameState::wouldChange(events::FieldId out_fid, uint64_t value) const
 {
-    auto oit = outToIn_.find(out_fid);
-    if (oit == outToIn_.end())
+    events::FieldId in_fid = inputOf(out_fid);
+    if (in_fid == events::kInvalidField)
         return false;
-    const Slot &slot = slots_.at(oit->second);
+    const Slot &slot = slots_[in_fid];
     uint64_t stored = slot.buckets ? value % slot.buckets : value;
     return slot.value != stored;
 }
@@ -98,8 +101,7 @@ GameState::computeFingerprint() const
     uint64_t h = 0xf19e0000ULL;
     for (events::FieldId fid : boundedOrder_)
         h = util::mixCombine(h,
-                             util::mixCombine(fid,
-                                              slots_.at(fid).value));
+                             util::mixCombine(fid, slots_[fid].value));
     return h;
 }
 
@@ -112,8 +114,8 @@ GameState::blockContent(uint32_t index) const
 void
 GameState::reset()
 {
-    for (auto &kv : slots_)
-        kv.second.value = kv.second.init;
+    for (auto &slot : slots_)
+        slot.value = slot.init;
     epoch_ = 0;
     fp_ = computeFingerprint();
     refreshedFp_ = fp_;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "events/field.h"
@@ -44,6 +43,9 @@ struct HistoryFieldDecl {
 /**
  * The state store. Values are addressed by the *input-side* field
  * id; the paired output-side id writes through to the same slot.
+ * Field ids are dense schema indices, so both directions are plain
+ * arrays indexed by id; ids past the end, in a gap between declared
+ * ids, or kInvalidField are not state.
  */
 class GameState
 {
@@ -108,14 +110,28 @@ class GameState
     struct Slot {
         uint64_t value = 0;
         uint32_t buckets = 0;
+        /** False for ids in a gap between declared in_fids. */
+        bool live = false;
         uint64_t init = 0;
     };
 
     /** Recompute the bounded-state hash (fp_'s value). */
     uint64_t computeFingerprint() const;
 
-    std::unordered_map<events::FieldId, Slot> slots_;        // by in_fid
-    std::unordered_map<events::FieldId, events::FieldId> outToIn_;
+    /** Whether @p in_fid addresses a declared slot. */
+    bool isSlot(events::FieldId in_fid) const
+    {
+        return in_fid < slots_.size() && slots_[in_fid].live;
+    }
+    /** Input-side id @p out_fid writes to; kInvalidField if none. */
+    events::FieldId inputOf(events::FieldId out_fid) const
+    {
+        return out_fid < outToIn_.size() ? outToIn_[out_fid]
+                                         : events::kInvalidField;
+    }
+
+    std::vector<Slot> slots_;                 // by in_fid
+    std::vector<events::FieldId> outToIn_;    // by out_fid
     std::vector<events::FieldId> boundedOrder_;
     uint64_t epoch_ = 0;
     uint64_t refreshedFp_ = 0;
