@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI driver: build + test the default config, run the micro_train
 # Shrink-phase smoke (twice — the selection/model digests must match
-# across runs, and the binary itself exits non-zero on any broken
-# determinism/zero-alloc contract), validate the snip::obs telemetry
+# across runs and their golden values, and the binary itself exits
+# non-zero on any broken determinism/zero-alloc contract), validate the snip::obs telemetry
 # export (fig11 --obs-json must parse and carry the hit-rate /
 # erroneous-field-rate / per-Shrink-phase-timing signals), check the
-# fig11/fig12 --quick CSVs against their committed SHA-1s, run the
+# fig11/fig12 --quick CSVs and the fig09_pfi_trimming / ablation_pfi
+# stdout against their committed SHA-1s, run the
 # out-of-core micro_train stage (2M synthetic rows trained through
 # the mmap'd SNCT view under a hard RSS cap, with the forest
 # fingerprint required identical across two block geometries), build +
@@ -58,6 +59,15 @@ DIGESTS_A=$(grep -o '"digest": "[^"]*"' build/micro_train_a.json)
 DIGESTS_B=$(grep -o '"digest": "[^"]*"' build/micro_train_b.json)
 if [ -z "$DIGESTS_A" ] || [ "$DIGESTS_A" != "$DIGESTS_B" ]; then
     echo "micro_train: selection/model digests differ across runs" >&2
+    exit 1
+fi
+# Golden selection digest, then model_codec package digest (default
+# seed); a deliberate Shrink or codec change re-pins both.
+DIGESTS_GOLDEN='"digest": "e73ddc04"
+"digest": "7f698c15"'
+if [ "$DIGESTS_A" != "$DIGESTS_GOLDEN" ]; then
+    echo "micro_train: digests differ from the golden values:" >&2
+    echo "$DIGESTS_A" >&2
     exit 1
 fi
 
@@ -113,14 +123,18 @@ if d['timers']['span.shrink']['sum_s'] <= 0.0:
     sys.exit('span.shrink recorded no wall time')
 EOF
 
-echo "==> figure CSV pin (fig11/fig12 --quick vs tools/golden/fig_quick.sha1)"
+echo "==> figure CSV pin (fig11/fig12 --quick, fig09, ablation_pfi vs tools/golden/fig_quick.sha1)"
 # Any change to figure output — games, schemes, energy model, Shrink —
 # must be deliberate: regenerate the hashes and say why in CHANGES.md.
+# fig09_pfi_trimming and ablation_pfi print their tables to stdout
+# (no --csv flag); both are deterministic, so the stdout is pinned.
 mkdir -p build/fig_quick
 ./build/bench/fig11_schemes --quick \
     --csv build/fig_quick/fig11_schemes.csv >/dev/null
 ./build/bench/fig12_continuous_learning --quick \
     --csv build/fig_quick/fig12_continuous_learning.csv >/dev/null 2>&1
+./build/bench/fig09_pfi_trimming > build/fig_quick/fig09_pfi_trimming.txt
+./build/bench/ablation_pfi > build/fig_quick/ablation_pfi.txt
 ( cd build/fig_quick && sha1sum --check --quiet \
     ../../tools/golden/fig_quick.sha1 )
 
