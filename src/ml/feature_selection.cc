@@ -99,18 +99,26 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
             locked[c] = 1;
     }
 
+    // Row keys over the current cols, for every row (train and
+    // holdout). The key is additive (TablePredictor::keyTerm), so a
+    // trial drop derives its keys in one pass and a commit swaps
+    // them in; the model borrows whichever array it was trained on.
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+    std::vector<uint64_t> trial_keys(keys.size());
+
     TablePredictor model;
     // Span-wrapped phase helpers; with a null registry the spans are
     // inert and these are plain calls.
-    auto train_model = [&](const std::vector<size_t> &use_cols) {
+    auto train_model = [&](const std::vector<size_t> &use_cols,
+                           const std::vector<uint64_t> &use_keys) {
         obs::Span s(cfg.obs, "train");
-        model.trainOnRows(ds, use_cols, train_rows);
+        model.trainOnRows(ds, use_cols, train_rows, use_keys);
     };
     auto eval_holdout = [&]() {
         obs::Span s(cfg.obs, "holdout");
         return evaluateHoldout(model, ds, holdout_rows);
     };
-    train_model(cols);
+    train_model(cols, keys);
     HoldoutEval cur = eval_holdout();
     out.full_error = cur.wrong_hit;
     out.full_bytes = ds.bytesOfColumns(cols);
@@ -181,11 +189,13 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
             for (size_t c : cols)
                 if (c != col)
                     trial.push_back(c);
-            train_model(trial);
+            TablePredictor::dropColumnKeys(ds, col, keys, trial_keys);
+            train_model(trial, trial_keys);
             HoldoutEval ev = eval_holdout();
             if (ev.wrong_hit <= cfg.max_error &&
                 ev.conditionalError() <= cfg.max_conditional_error) {
                 cols = std::move(trial);
+                keys.swap(trial_keys);
                 cur = ev;
                 record_step(col, ev);
                 committed = true;
@@ -194,7 +204,7 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
                         .add(1);
                 }
                 if (++commits_since_refresh >= kPfiRefreshEvery) {
-                    train_model(cols);
+                    train_model(cols, keys);
                     refresh_pfi();
                     commits_since_refresh = 0;
                 }
@@ -220,7 +230,7 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
     // least-important remaining feature regardless of the budget so
     // the Fig. 9 curve shows the error ramp; does not affect the
     // selected set.
-    train_model(cols);
+    train_model(cols, keys);
     PfiResult pfi = computePfi(model, ds, cols, pfi_cfg);
     while (cols.size() > 1) {
         size_t pick = 0;
@@ -238,7 +248,8 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
         cols.erase(cols.begin() + static_cast<long>(pick));
         pfi.importance.erase(pfi.importance.begin() +
                              static_cast<long>(pick));
-        train_model(cols);
+        TablePredictor::dropColumnKeys(ds, col, keys, keys);
+        train_model(cols, keys);
         HoldoutEval ev = eval_holdout();
         record_step(col, ev);
         if (ev.wrong_hit > kCurveStopError)

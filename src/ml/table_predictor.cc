@@ -1,9 +1,8 @@
 #include "ml/table_predictor.h"
 
 #include <algorithm>
-#include <map>
 
-#include "util/rng.h"
+#include "util/logging.h"
 
 namespace snip {
 namespace ml {
@@ -37,6 +36,8 @@ TablePredictor::find(uint64_t key) const
         h.repr = freprs_[e];
         return h;
     }
+    if (delta_.empty())
+        return h;
     auto it = delta_.find(key);
     if (it != delta_.end()) {
         h.hit = true;
@@ -46,17 +47,59 @@ TablePredictor::find(uint64_t key) const
     return h;
 }
 
-uint64_t
-TablePredictor::keyOf(const DatasetView &ds, size_t row, size_t override_col,
-                      uint64_t override_value) const
+std::vector<uint64_t>
+TablePredictor::rowKeys(const DatasetView &ds,
+                        const std::vector<size_t> &cols)
 {
-    uint64_t h = 0x5eedf00d5eedULL;
-    for (size_t c : cols_) {
-        uint64_t v = (c == override_col) ? override_value
-                                         : ds.value(row, c);
-        h = util::mixCombine(h, util::mixCombine(c, v));
+    std::vector<uint64_t> keys(ds.numRows(), kKeySeed);
+    for (size_t c : cols) {
+        const uint64_t *v = ds.columnData(c);
+        for (size_t r = 0; r < keys.size(); ++r)
+            keys[r] += keyTerm(c, v[r]);
     }
-    return h;
+    return keys;
+}
+
+void
+TablePredictor::dropColumnKeys(const DatasetView &ds, size_t col,
+                               std::span<const uint64_t> keys,
+                               std::span<uint64_t> out)
+{
+    if (keys.size() != ds.numRows() || out.size() != ds.numRows())
+        util::panic("TablePredictor::dropColumnKeys: %zu keys and %zu "
+                    "outputs for %zu rows",
+                    keys.size(), out.size(), ds.numRows());
+    const uint64_t *v = ds.columnData(col);
+    for (size_t r = 0; r < keys.size(); ++r)
+        out[r] = keys[r] - keyTerm(col, v[r]);
+}
+
+std::span<const uint64_t>
+TablePredictor::keysFor(const DatasetView &ds) const
+{
+    if (keys_.size() != ds.numRows())
+        util::panic("TablePredictor: %zu row keys for a dataset of "
+                    "%zu rows",
+                    keys_.size(), ds.numRows());
+    return keys_;
+}
+
+bool
+TablePredictor::isKeyColumn(size_t col) const
+{
+    return std::find(cols_.begin(), cols_.end(), col) != cols_.end();
+}
+
+uint64_t
+TablePredictor::keyOfRow(const DatasetView &ds, size_t row,
+                         size_t override_col,
+                         uint64_t override_value) const
+{
+    uint64_t key = keysFor(ds)[row];
+    if (!isKeyColumn(override_col))
+        return key;
+    return key - keyTerm(override_col, ds.value(row, override_col)) +
+           keyTerm(override_col, override_value);
 }
 
 void
@@ -66,95 +109,126 @@ TablePredictor::train(const DatasetView &ds,
     std::vector<size_t> rows(ds.numRows());
     for (size_t i = 0; i < rows.size(); ++i)
         rows[i] = i;
-    trainOnRows(ds, feature_cols, rows);
+    ownedKeys_ = rowKeys(ds, feature_cols);
+    trainOnRows(ds, feature_cols, rows, ownedKeys_);
 }
 
 void
 TablePredictor::trainOnRows(const DatasetView &ds,
                             const std::vector<size_t> &feature_cols,
-                            const std::vector<size_t> &rows)
+                            const std::vector<size_t> &rows,
+                            std::span<const uint64_t> row_keys)
 {
+    keys_ = row_keys;
+    keysFor(ds);  // panics on a length mismatch
     cols_ = feature_cols;
-    std::unordered_map<uint64_t, Entry> table;
     delta_.clear();
 
-    // Per-key label tallies (weighted), then majority.
-    struct Tally {
-        std::map<uint64_t, uint64_t> label_weight;
-        std::map<uint64_t, size_t> label_row;
-        uint64_t total_weight = 0;
+    // Tally by sorting (key, label, position in rows): each key's
+    // records form one run, split into one sub-run per label in
+    // ascending label order with the earliest row first. The
+    // majority is the heaviest label (the smallest one on a tie) and
+    // its representative the first row in rows order that carries
+    // it; runs come out in ascending key order, the frozen layout.
+    struct Record {
+        uint64_t key;
+        uint64_t label;
+        size_t pos;
     };
-    std::unordered_map<uint64_t, Tally> tallies;
-    std::map<uint64_t, uint64_t> global;
-    std::map<uint64_t, size_t> global_row;
+    std::vector<Record> recs(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        recs[i] = Record{row_keys[rows[i]], ds.label(rows[i]), i};
+    std::sort(recs.begin(), recs.end(),
+              [](const Record &a, const Record &b) {
+                  if (a.key != b.key)
+                      return a.key < b.key;
+                  if (a.label != b.label)
+                      return a.label < b.label;
+                  return a.pos < b.pos;
+              });
 
-    uint64_t trained_weight = 0;
-    for (size_t row : rows) {
-        uint64_t key = keyOf(ds, row, SIZE_MAX, 0);
-        Tally &t = tallies[key];
-        uint64_t lbl = ds.label(row);
-        t.label_weight[lbl] += ds.weight(row);
-        t.label_row.emplace(lbl, row);
-        t.total_weight += ds.weight(row);
-        global[lbl] += ds.weight(row);
-        global_row.emplace(lbl, row);
-        trained_weight += ds.weight(row);
-    }
-
-    uint64_t ambiguous_weight = 0;
-    for (auto &kv : tallies) {
+    // One (label, weight, first position) per (key, label) run, for
+    // the global fallback below.
+    struct LabelRun {
+        uint64_t label;
+        uint64_t weight;
+        size_t pos;
+    };
+    std::vector<LabelRun> runs;
+    fkeys_.clear();
+    flabels_.clear();
+    freprs_.clear();
+    fdistinct_.clear();
+    uint64_t trained_weight = 0, ambiguous_weight = 0;
+    for (size_t i = 0; i < recs.size();) {
+        uint64_t key = recs[i].key;
         Entry e;
-        uint64_t best_w = 0;
-        for (const auto &lw : kv.second.label_weight) {
-            if (lw.second > best_w) {
-                best_w = lw.second;
-                e.majority_label = lw.first;
-                e.representative_row = kv.second.label_row[lw.first];
+        uint64_t best_w = 0, key_weight = 0;
+        while (i < recs.size() && recs[i].key == key) {
+            uint64_t lbl = recs[i].label;
+            size_t first = recs[i].pos;
+            uint64_t w = 0;
+            for (; i < recs.size() && recs[i].key == key &&
+                   recs[i].label == lbl;
+                 ++i)
+                w += ds.weight(rows[recs[i].pos]);
+            if (w > best_w) {
+                best_w = w;
+                e.majority_label = lbl;
+                e.representative_row = rows[first];
             }
+            ++e.distinct_labels;
+            key_weight += w;
+            runs.push_back(LabelRun{lbl, w, first});
         }
-        e.distinct_labels =
-            static_cast<uint32_t>(kv.second.label_weight.size());
+        trained_weight += key_weight;
         if (e.distinct_labels > 1)
-            ambiguous_weight += kv.second.total_weight;
-        table[kv.first] = e;
+            ambiguous_weight += key_weight;
+        fkeys_.push_back(key);
+        flabels_.push_back(e.majority_label);
+        freprs_.push_back(e.representative_row);
+        fdistinct_.push_back(e.distinct_labels);
     }
     ambiguousWeightFraction_ =
         trained_weight ? static_cast<double>(ambiguous_weight) /
                              static_cast<double>(trained_weight)
                        : 0.0;
 
+    // Global fallback over all trained rows, same tie rules; none
+    // when no row carries weight.
+    fallbackLabel_ = kNoLabel;
+    fallbackRow_ = SIZE_MAX;
+    std::sort(runs.begin(), runs.end(),
+              [](const LabelRun &a, const LabelRun &b) {
+                  if (a.label != b.label)
+                      return a.label < b.label;
+                  return a.pos < b.pos;
+              });
     uint64_t best_w = 0;
-    for (const auto &lw : global) {
-        if (lw.second > best_w) {
-            best_w = lw.second;
-            fallbackLabel_ = lw.first;
-            fallbackRow_ = global_row[lw.first];
+    for (size_t i = 0; i < runs.size();) {
+        uint64_t lbl = runs[i].label;
+        size_t first = runs[i].pos;
+        uint64_t w = 0;
+        for (; i < runs.size() && runs[i].label == lbl; ++i)
+            w += runs[i].weight;
+        if (w > best_w) {
+            best_w = w;
+            fallbackLabel_ = lbl;
+            fallbackRow_ = rows[first];
         }
     }
 
-    // Freeze: flat entry columns in ascending-key order plus a
-    // power-of-two open-addressing slot index (load factor <= 0.5),
-    // the deployed FrozenTable shape. Lookups from here on are one
-    // probe + column reads, no node allocation or pointer chasing.
-    size_t n = table.size();
-    fkeys_.clear();
-    fkeys_.reserve(n);
-    for (const auto &kv : table)
-        fkeys_.push_back(kv.first);
-    std::sort(fkeys_.begin(), fkeys_.end());
-    flabels_.resize(n);
-    freprs_.resize(n);
-    fdistinct_.resize(n);
+    // Freeze: the flat entry columns above plus a power-of-two
+    // open-addressing slot index (load factor <= 0.5), the deployed
+    // FrozenTable shape. Lookups from here on are one probe + column
+    // reads, no node allocation or pointer chasing.
+    size_t n = fkeys_.size();
     size_t cap = 4;
     while (cap < 2 * n)
         cap <<= 1;
     fslots_.assign(cap, 0);
     size_t mask = cap - 1;
     for (size_t i = 0; i < n; ++i) {
-        const Entry &e = table[fkeys_[i]];
-        flabels_[i] = e.majority_label;
-        freprs_[i] = e.representative_row;
-        fdistinct_[i] = e.distinct_labels;
         size_t idx = static_cast<size_t>(fkeys_[i]) & mask;
         while (fslots_[idx] != 0)
             idx = (idx + 1) & mask;
@@ -167,7 +241,7 @@ TablePredictor::predict(const DatasetView &ds, size_t row,
                         size_t override_col,
                         uint64_t override_value) const
 {
-    Hit h = find(keyOf(ds, row, override_col, override_value));
+    Hit h = find(keyOfRow(ds, row, override_col, override_value));
     return h.hit ? h.label : fallbackLabel_;
 }
 
@@ -177,12 +251,25 @@ TablePredictor::predictRows(const DatasetView &ds, size_t row_begin,
                             size_t override_col,
                             const uint64_t *override_values) const
 {
-    // Hash-and-probe per row with no virtual hop per row; the PFI
-    // inner loop spends its time here.
+    // One probe per row with no virtual hop per row; the PFI inner
+    // loop spends its time here. A permuted key column swaps one
+    // term of the stored key, O(1) per row.
+    std::span<const uint64_t> keys = keysFor(ds);
+    if (!isKeyColumn(override_col)) {
+        for (size_t r = row_begin; r < row_end; ++r) {
+            Hit h = find(keys[r]);
+            out_labels[r - row_begin] = h.hit ? h.label : fallbackLabel_;
+        }
+        return;
+    }
+    if (override_values == nullptr)
+        util::panic("TablePredictor::predictRows: override_col without "
+                    "override_values");
+    const uint64_t *colv = ds.columnData(override_col);
     for (size_t r = row_begin; r < row_end; ++r) {
-        uint64_t ov =
-            override_col != SIZE_MAX ? override_values[r] : 0;
-        Hit h = find(keyOf(ds, r, override_col, ov));
+        uint64_t key = keys[r] - keyTerm(override_col, colv[r]) +
+                       keyTerm(override_col, override_values[r]);
+        Hit h = find(key);
         out_labels[r - row_begin] = h.hit ? h.label : fallbackLabel_;
     }
 }
@@ -192,7 +279,7 @@ TablePredictor::predictRow(const DatasetView &ds, size_t row,
                            size_t override_col,
                            uint64_t override_value) const
 {
-    Hit h = find(keyOf(ds, row, override_col, override_value));
+    Hit h = find(keyOfRow(ds, row, override_col, override_value));
     return h.hit ? h.repr : fallbackRow_;
 }
 
@@ -200,7 +287,7 @@ bool
 TablePredictor::lookupLabel(const DatasetView &ds, size_t row,
                             uint64_t &label) const
 {
-    Hit h = find(keyOf(ds, row, SIZE_MAX, 0));
+    Hit h = find(keysFor(ds)[row]);
     if (!h.hit)
         return false;
     label = h.label;
@@ -212,7 +299,7 @@ TablePredictor::insertRow(const DatasetView &ds, size_t row)
 {
     // Online inserts never touch the frozen arrays; first-wins
     // semantics across both layers (frozen keys shadow the delta).
-    uint64_t key = keyOf(ds, row, SIZE_MAX, 0);
+    uint64_t key = keysFor(ds)[row];
     if (probe(key) != SIZE_MAX || delta_.count(key))
         return;
     Entry e;

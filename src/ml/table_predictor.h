@@ -10,24 +10,75 @@
 #ifndef SNIP_ML_TABLE_PREDICTOR_H
 #define SNIP_ML_TABLE_PREDICTOR_H
 
+#include <span>
 #include <unordered_map>
 
 #include "ml/predictor.h"
+#include "util/rng.h"
 
 namespace snip {
 namespace ml {
 
-/** Majority-vote exact-match table over selected features. */
+/**
+ * Majority-vote exact-match table over selected features.
+ *
+ * A row's key over the key columns C is the wrapping sum
+ * kKeySeed + sum over c in C of keyTerm(c, value(row, c)). Because
+ * the key is additive, dropping a column from every key or replacing
+ * one column's value (a PFI permutation) is one subtraction and one
+ * addition per row instead of a rehash of all |C| columns. Keys are
+ * computed by the caller (rowKeys / dropColumnKeys) into an array
+ * indexed by dataset row, which the predictor borrows from
+ * trainOnRows on and reads for every lookup, the way a DatasetView
+ * borrows its storage. Lookups therefore address rows of the
+ * dataset the keys were computed from.
+ */
 class TablePredictor : public Predictor
 {
   public:
+    /** Key of a row over no columns. */
+    static constexpr uint64_t kKeySeed = 0x5eedf00d5eedULL;
+
+    /** Contribution of column @p col holding @p value to a row key. */
+    static uint64_t keyTerm(size_t col, uint64_t value)
+    {
+        return util::mixCombine(col, value);
+    }
+
+    /** Key of every row of @p ds over @p cols, from scratch. */
+    static std::vector<uint64_t>
+    rowKeys(const DatasetView &ds, const std::vector<size_t> &cols);
+
+    /**
+     * Keys over a column set minus @p col, given @p keys over the
+     * set: out[r] = keys[r] - keyTerm(col, value(r, col)). @p out may
+     * alias @p keys. Both hold one key per row of @p ds.
+     */
+    static void dropColumnKeys(const DatasetView &ds, size_t col,
+                               std::span<const uint64_t> keys,
+                               std::span<uint64_t> out);
+
+    TablePredictor() = default;
+    /** Not copyable: the copy would borrow the source's key array. */
+    TablePredictor(const TablePredictor &) = delete;
+    TablePredictor &operator=(const TablePredictor &) = delete;
+
+    /** Computes and owns the row keys, then trains on every row. */
     void train(const DatasetView &ds,
                const std::vector<size_t> &feature_cols) override;
 
-    /** Train on a row subset (for held-out evaluation). */
+    /**
+     * Train on a row subset (for held-out evaluation). @p row_keys
+     * holds the key over @p feature_cols of every row of @p ds (not
+     * only of @p rows) and is borrowed until the next train: every
+     * later lookup reads it, so it must outlive them unchanged.
+     * Every call that takes a dataset panics unless the key array
+     * has exactly ds.numRows() entries.
+     */
     void trainOnRows(const DatasetView &ds,
                      const std::vector<size_t> &feature_cols,
-                     const std::vector<size_t> &rows);
+                     const std::vector<size_t> &rows,
+                     std::span<const uint64_t> row_keys);
 
     uint64_t predict(const DatasetView &ds, size_t row,
                      size_t override_col = SIZE_MAX,
@@ -89,8 +140,17 @@ class TablePredictor : public Predictor
         uint32_t distinct_labels = 0;
     };
 
-    uint64_t keyOf(const DatasetView &ds, size_t row, size_t override_col,
-                   uint64_t override_value) const;
+    /** The bound key array; panics unless it covers @p ds. */
+    std::span<const uint64_t> keysFor(const DatasetView &ds) const;
+    /** True when @p col is one of the trained key columns. */
+    bool isKeyColumn(size_t col) const;
+    /**
+     * Key of @p row, with the value of @p override_col replaced by
+     * @p override_value when that column is a key column (otherwise
+     * the override is ignored).
+     */
+    uint64_t keyOfRow(const DatasetView &ds, size_t row,
+                      size_t override_col, uint64_t override_value) const;
 
     /** Frozen-table probe: entry index for @p key, or SIZE_MAX. */
     size_t probe(uint64_t key) const;
@@ -103,6 +163,9 @@ class TablePredictor : public Predictor
     Hit find(uint64_t key) const;
 
     std::vector<size_t> cols_;
+    /** Per-row keys over cols_, borrowed (or ownedKeys_, via train). */
+    std::span<const uint64_t> keys_;
+    std::vector<uint64_t> ownedKeys_;
 
     /**
      * The trained table is frozen after trainOnRows into the same

@@ -13,6 +13,10 @@
 #include <memory>
 #include <set>
 
+#include "core/scheme.h"
+#include "core/simulation.h"
+#include "core/snip.h"
+#include "games/registry.h"
 #include "ml/chunked_dataset.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
@@ -21,6 +25,8 @@
 #include "ml/random_forest.h"
 #include "ml/table_predictor.h"
 #include "obs/metrics.h"
+#include "trace/recorder.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace snip {
@@ -167,8 +173,9 @@ TEST(TablePredictorTest, StrictLookupMissesUnseenKeys)
     Dataset ds(syn.ptrs(), syn.schema);
     std::vector<size_t> cols = {ds.columnOf(syn.fh)};  // row ids
     std::vector<size_t> train_rows = {0, 1, 2, 3, 4};
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     TablePredictor tp;
-    tp.trainOnRows(ds, cols, train_rows);
+    tp.trainOnRows(ds, cols, train_rows, keys);
     uint64_t label;
     EXPECT_TRUE(tp.lookupLabel(ds, 0, label));
     EXPECT_FALSE(tp.lookupLabel(ds, 10, label));
@@ -180,8 +187,9 @@ TEST(TablePredictorTest, InsertRowFirstWins)
     Dataset ds(syn.ptrs(), syn.schema);
     std::vector<size_t> cols = {ds.columnOf(syn.fa),
                                 ds.columnOf(syn.fb)};
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     TablePredictor tp;
-    tp.trainOnRows(ds, cols, {});
+    tp.trainOnRows(ds, cols, {}, keys);
     tp.insertRow(ds, 3);
     uint64_t label;
     ASSERT_TRUE(tp.lookupLabel(ds, 3, label));
@@ -190,6 +198,22 @@ TEST(TablePredictorTest, InsertRowFirstWins)
     size_t rows_before = tp.tableRows();
     tp.insertRow(ds, 3);
     EXPECT_EQ(tp.tableRows(), rows_before);
+}
+
+TEST(TablePredictorTest, RetrainOnNoRowsDropsOldFallback)
+{
+    Synthetic syn(50);
+    Dataset ds(syn.ptrs(), syn.schema);
+    std::vector<size_t> cols = {ds.columnOf(syn.fa)};
+    TablePredictor tp;
+    tp.train(ds, cols);
+    ASSERT_NE(tp.predict(ds, 0), kNoLabel);
+    // Nothing trained: no entry and no fallback left from before.
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+    tp.trainOnRows(ds, cols, {}, keys);
+    EXPECT_EQ(tp.tableRows(), 0u);
+    EXPECT_EQ(tp.predict(ds, 0), kNoLabel);
+    EXPECT_EQ(tp.predictRow(ds, 0), SIZE_MAX);
 }
 
 TEST(TablePredictorTest, PredictRowReturnsRepresentative)
@@ -235,6 +259,223 @@ TEST(TablePredictorTest, PredictRowsMatchesPerRowPredict)
                    shifted.data());
     for (size_t r = 0; r < ds.numRows(); ++r)
         EXPECT_EQ(batched[r], tp.predict(ds, r, col_a, shifted[r]));
+}
+
+/** Every feature column of @p ds. */
+std::vector<size_t>
+allColumns(const DatasetView &ds)
+{
+    std::vector<size_t> cols(ds.numFeatures());
+    for (size_t i = 0; i < cols.size(); ++i)
+        cols[i] = i;
+    return cols;
+}
+
+TEST(TablePredictorTest, IncrementalDropKeysMatchFromScratch)
+{
+    Synthetic syn(300);
+    Dataset ds(syn.ptrs(), syn.schema);
+    std::vector<size_t> cols = allColumns(ds);
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+    for (size_t col : cols) {
+        std::vector<size_t> rest;
+        for (size_t c : cols)
+            if (c != col)
+                rest.push_back(c);
+        std::vector<uint64_t> want = TablePredictor::rowKeys(ds, rest);
+        std::vector<uint64_t> got(keys.size());
+        TablePredictor::dropColumnKeys(ds, col, keys, got);
+        EXPECT_EQ(got, want) << "drop column " << col;
+        // In place (out aliasing keys), as Phase B updates its array.
+        std::vector<uint64_t> in_place = keys;
+        TablePredictor::dropColumnKeys(ds, col, in_place, in_place);
+        EXPECT_EQ(in_place, want) << "drop column " << col;
+    }
+    // Dropping every column leaves the seed.
+    std::vector<uint64_t> k = keys;
+    for (size_t col : cols)
+        TablePredictor::dropColumnKeys(ds, col, k, k);
+    EXPECT_EQ(k, std::vector<uint64_t>(ds.numRows(),
+                                       TablePredictor::kKeySeed));
+}
+
+TEST(TablePredictorTest, IncrementalOverrideKeysMatchFromScratch)
+{
+    // Rows [0, n) are the originals; rows [n, 2n) repeat them with
+    // column a replaced by another row's value. The override lookup
+    // of row r must behave exactly like a plain lookup of row n + r,
+    // whose key was computed from scratch.
+    const size_t n = 300;
+    Synthetic syn(n);
+    Synthetic twice(0);
+    twice.records = syn.records;
+    for (size_t r = 0; r < n; ++r) {
+        games::HandlerExecution rec = syn.records[r];
+        rec.inputs[0].value = syn.records[(r * 7 + 3) % n].inputs[0].value;
+        twice.records.push_back(std::move(rec));
+    }
+    Dataset ds(twice.ptrs(), syn.schema);
+    size_t col_a = ds.columnOf(syn.fa);
+    std::vector<size_t> cols = {col_a, ds.columnOf(syn.fb),
+                                ds.columnOf(syn.fn)};
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+    std::vector<uint64_t> ov(2 * n, 0);
+    for (size_t r = 0; r < n; ++r) {
+        ov[r] = ds.value(n + r, col_a);
+        EXPECT_EQ(keys[r] - TablePredictor::keyTerm(col_a,
+                                                    ds.value(r, col_a)) +
+                      TablePredictor::keyTerm(col_a, ov[r]),
+                  keys[n + r]);
+    }
+
+    std::vector<size_t> train_rows;
+    for (size_t r = 0; r < n; r += 2)
+        train_rows.push_back(r);
+    TablePredictor tp;
+    tp.trainOnRows(ds, cols, train_rows, keys);
+    std::vector<uint64_t> batched(n);
+    tp.predictRows(ds, 0, n, batched.data(), col_a, ov.data());
+    size_t hits = 0;
+    for (size_t r = 0; r < n; ++r) {
+        uint64_t want = tp.predict(ds, n + r);
+        EXPECT_EQ(batched[r], want) << "row " << r;
+        EXPECT_EQ(tp.predict(ds, r, col_a, ov[r]), want) << "row " << r;
+        EXPECT_EQ(tp.predictRow(ds, r, col_a, ov[r]),
+                  tp.predictRow(ds, n + r))
+            << "row " << r;
+        uint64_t label;
+        hits += tp.lookupLabel(ds, n + r, label);
+    }
+    EXPECT_GT(hits, 0u);  // the override lookups reach the table
+}
+
+TEST(TablePredictorTest, OverrideOfNonKeyColumnIgnored)
+{
+    Synthetic syn(300);
+    Dataset ds(syn.ptrs(), syn.schema);
+    std::vector<size_t> cols = {ds.columnOf(syn.fa),
+                                ds.columnOf(syn.fb)};
+    TablePredictor tp;
+    tp.train(ds, cols);
+    size_t col_n = ds.columnOf(syn.fn);
+    std::vector<uint64_t> junk(ds.numRows());
+    for (size_t r = 0; r < ds.numRows(); ++r)
+        junk[r] = util::mix64(r + 1);
+    std::vector<uint64_t> plain(ds.numRows()), over(ds.numRows());
+    tp.predictRows(ds, 0, ds.numRows(), plain.data());
+    tp.predictRows(ds, 0, ds.numRows(), over.data(), col_n,
+                   junk.data());
+    EXPECT_EQ(over, plain);
+    for (size_t r = 0; r < ds.numRows(); ++r) {
+        EXPECT_EQ(tp.predict(ds, r, col_n, junk[r]), plain[r]);
+        EXPECT_EQ(tp.predict(ds, r, col_n, junk[r]), tp.predict(ds, r));
+    }
+}
+
+TEST(TablePredictorTest, WrongLengthKeyArrayPanics)
+{
+    Synthetic syn(40);
+    Dataset ds(syn.ptrs(), syn.schema);
+    Synthetic other(41);
+    Dataset longer(other.ptrs(), other.schema);
+    std::vector<size_t> cols = {ds.columnOf(syn.fa),
+                                ds.columnOf(syn.fb)};
+    std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+    std::vector<uint64_t> short_keys(keys.begin(), keys.end() - 1);
+    std::vector<size_t> rows = {0, 1, 2};
+
+    bool prev = util::setThrowOnError(true);
+    TablePredictor tp;
+    EXPECT_THROW(tp.trainOnRows(ds, cols, rows, short_keys),
+                 std::runtime_error);
+    std::vector<uint64_t> out(keys.size());
+    EXPECT_THROW(TablePredictor::dropColumnKeys(ds, cols[0],
+                                                short_keys, out),
+                 std::runtime_error);
+    EXPECT_THROW(TablePredictor::dropColumnKeys(longer, cols[0], keys,
+                                                out),
+                 std::runtime_error);
+
+    // Trained on ds's keys, then asked about a longer dataset: every
+    // read path panics instead of indexing past the key array.
+    tp.trainOnRows(ds, cols, rows, keys);
+    uint64_t label = 0;
+    std::vector<uint64_t> labels(longer.numRows());
+    EXPECT_THROW(tp.predict(longer, 40), std::runtime_error);
+    EXPECT_THROW(tp.predictRow(longer, 40), std::runtime_error);
+    EXPECT_THROW(tp.predictRows(longer, 0, longer.numRows(),
+                                labels.data()),
+                 std::runtime_error);
+    EXPECT_THROW(tp.lookupLabel(longer, 40, label), std::runtime_error);
+    EXPECT_THROW(tp.insertRow(longer, 40), std::runtime_error);
+    util::setThrowOnError(prev);
+}
+
+/** The row key as it was before keys became additive: chained. */
+uint64_t
+chainedKey(const DatasetView &ds, size_t row,
+           const std::vector<size_t> &cols)
+{
+    uint64_t h = TablePredictor::kKeySeed;
+    for (size_t c : cols)
+        h = util::mixCombine(h, util::mixCombine(c, ds.value(row, c)));
+    return h;
+}
+
+/**
+ * Collision guard for the additive key: on every catalog game's
+ * profile and every deployed event type, the additive and the
+ * chained key split the rows into the same groups, over the full
+ * column set and over the selected one. Equal distinct counts of
+ * each key and of the (additive, chained) pair mean the two keys
+ * map one-to-one.
+ */
+TEST(TablePredictorTest, AdditiveKeyGroupsRowsLikeChainedKeyAllGames)
+{
+    size_t checked = 0;
+    for (const std::string &name : games::allGameNames()) {
+        auto game = games::makeGame(name);
+        core::BaselineScheme profiler;
+        core::SimulationConfig pcfg;
+        pcfg.duration_s = 30.0;
+        pcfg.seed = 0xc011;
+        pcfg.record_events = true;
+        core::SessionResult prof = core::runSession(*game, profiler,
+                                                    pcfg);
+        auto replica = games::makeGame(name);
+        trace::Profile profile =
+            trace::Replayer::replay(prof.trace, *replica);
+        core::SnipConfig scfg;
+        scfg.min_records_per_type = 8;
+        scfg.overrides.force_keep = game->params().recommended_overrides;
+        core::SnipModel model = core::buildSnipModel(profile, *game, scfg);
+        for (const core::TypeModel &tm : model.types) {
+            Dataset ds(profile.ofType(tm.type), game->schema());
+            std::vector<size_t> selected;
+            for (events::FieldId fid : tm.selection.selected)
+                selected.push_back(ds.columnOf(fid));
+            for (const std::vector<size_t> &cols :
+                 {allColumns(ds), selected}) {
+                std::vector<uint64_t> add =
+                    TablePredictor::rowKeys(ds, cols);
+                std::set<uint64_t> a, c;
+                std::set<std::pair<uint64_t, uint64_t>> pairs;
+                for (size_t r = 0; r < ds.numRows(); ++r) {
+                    uint64_t ch = chainedKey(ds, r, cols);
+                    a.insert(add[r]);
+                    c.insert(ch);
+                    pairs.emplace(add[r], ch);
+                }
+                EXPECT_EQ(a.size(), c.size())
+                    << name << " type " << static_cast<int>(tm.type)
+                    << " cols " << cols.size();
+                EXPECT_EQ(pairs.size(), c.size())
+                    << name << " type " << static_cast<int>(tm.type);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_GT(checked, 2 * games::allGameNames().size());
 }
 
 // ------------------------------------------------------ DecisionTree
