@@ -16,6 +16,10 @@
  *   3. each cohort's stale-version lookup hit rate is reported
  *      (staleness skew = max - min).
  *
+ * The JSON also carries the CRC-32 of the head package and of each
+ * cohort's shipped patch (0 when the cohort full-fetched), so the
+ * package and patch bytes can be pinned, not only their sizes.
+ *
  * Exits non-zero when the delta-beats-full or sharded-equivalence
  * contract is violated, which is what lets tools/ci.sh run it as a
  * fleet smoke. Emits single-line JSON (default
@@ -44,6 +48,7 @@
 #include "fleet/registry.h"
 #include "games/registry.h"
 #include "obs/metrics.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -251,6 +256,7 @@ main(int argc, char **argv)
     // ---- sharded vs serial aggregation
     auto game = games::makeGame(a.game);
     core::SnipModel agreed;
+    uint32_t head_crc = 0;
     {
         // The agreed fleet model whose selections devices project
         // onto: decode the registry head (the latest epoch).
@@ -258,6 +264,8 @@ main(int argc, char **argv)
         if (!head.ok())
             util::fatal("fleet_sim: head fetch failed: %s",
                         head.status().message().c_str());
+        head_crc = util::crc32(head.value()->data().data(),
+                               head.value()->size());
         util::ByteBuffer pkg;
         pkg.putBytes(head.value()->data().data(),
                      head.value()->size());
@@ -313,17 +321,29 @@ main(int argc, char **argv)
     // ---- report
     std::string cohorts_json;
     for (const fleet::CohortReport &c : push.cohorts) {
+        // The registry memoizes patches, so this is the exact patch
+        // pushEpoch shipped.
+        uint32_t patch_crc = 0;
+        if (c.patch_bytes) {
+            auto patch = reg.delta(a.game, c.base_version, push.head);
+            if (!patch.ok())
+                util::fatal("fleet_sim: patch refetch failed: %s",
+                            patch.status().message().c_str());
+            patch_crc = util::crc32(patch.value()->data().data(),
+                                    patch.value()->size());
+        }
         char buf[512];
         std::snprintf(
             buf, sizeof(buf),
             "%s{\"name\":\"%s\",\"devices\":%llu,"
             "\"versions_behind\":%u,\"patch_bytes\":%llu,"
+            "\"patch_crc\":\"%08x\","
             "\"full_bytes\":%llu,\"delta_bytes\":%llu,"
             "\"used_delta\":%s,\"stale_hit_rate\":%.4f}",
             cohorts_json.empty() ? "" : ",", c.name.c_str(),
             static_cast<unsigned long long>(c.devices),
             c.versions_behind,
-            static_cast<unsigned long long>(c.patch_bytes),
+            static_cast<unsigned long long>(c.patch_bytes), patch_crc,
             static_cast<unsigned long long>(c.full_bytes),
             static_cast<unsigned long long>(c.delta_bytes),
             c.used_delta ? "true" : "false", c.hit_rate);
@@ -335,6 +355,7 @@ main(int argc, char **argv)
         json, sizeof(json),
         "{\"bench\":\"fleet_sim\",\"game\":\"%s\",\"devices\":%llu,"
         "\"versions\":%zu,\"head_bytes\":%llu,"
+        "\"head_crc\":\"%08x\","
         "\"ota_full_bytes\":%llu,\"ota_delta_bytes\":%llu,"
         "\"delta_ratio\":%.4f,\"delta_beats_full\":%s,"
         "\"fallbacks\":%zu,\"staleness_skew\":%.4f,"
@@ -344,6 +365,7 @@ main(int argc, char **argv)
         "\"cohorts\":[%s]}",
         a.game.c_str(), static_cast<unsigned long long>(a.devices),
         versions, static_cast<unsigned long long>(push.head_bytes),
+        head_crc,
         static_cast<unsigned long long>(push.full_bytes),
         static_cast<unsigned long long>(push.delta_bytes),
         push.full_bytes

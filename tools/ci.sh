@@ -33,8 +33,9 @@
 # a frozen-then-overlay reference rule does. The fleet OTA backend
 # gets three more stages: the fleet_sim --quick epoch push (delta
 # payload must undercut the full baseline, sharded aggregation must stay
-# bitwise-identical to serial, and the per-cohort staleness report
-# must be present and sane), the SNPD patch corruption fuzz under
+# bitwise-identical to serial, the per-cohort staleness report
+# must be present and sane, and the head package and every shipped
+# patch must match their golden sizes and CRC-32s), the SNPD patch corruption fuzz under
 # asan (every real mutation of a patch must be rejected and the
 # device receive path must still converge on the published head via
 # full-fetch fallback), and the TSan sharded-merge equivalence smoke.
@@ -192,6 +193,27 @@ for c in d['cohorts']:
     if not 0.0 <= c['stale_hit_rate'] <= 1.0:
         sys.exit('fleet_sim: stale_hit_rate out of range: %r'
                  % c['stale_hit_rate'])
+
+# Golden package bytes (default seed, --quick): the head package's
+# size and CRC-32, and each cohort's shipped patch size and CRC-32
+# (0 and "00000000" for a full fetch). A deliberate Shrink, codec or
+# delta change re-pins them.
+GOLDEN_HEAD = (58188, '9c2477dc')
+GOLDEN_PATCHES = {
+    'stable': (46319, 'd65fad4a'),
+    'slow': (50292, 'aaac4669'),
+    'lagging': (57236, '7c032b54'),
+    'fresh': (0, '00000000'),
+}
+head = (d.get('head_bytes'), d.get('head_crc'))
+if head != GOLDEN_HEAD:
+    sys.exit('fleet_sim: head package %r differs from the golden %r'
+             % (head, GOLDEN_HEAD))
+patches = {c['name']: (c['patch_bytes'], c.get('patch_crc'))
+           for c in d['cohorts']}
+if patches != GOLDEN_PATCHES:
+    sys.exit('fleet_sim: patches %r differ from the golden %r'
+             % (patches, GOLDEN_PATCHES))
 EOF
 
 echo "==> asan/ubsan build + ctest"
