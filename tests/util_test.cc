@@ -392,6 +392,68 @@ TEST(Crc32, DetectsEveryBitFlip)
     }
 }
 
+/** Bit-at-a-time CRC-32/IEEE, one byte per step: the reference. */
+uint32_t
+referenceCrc32(const uint8_t *p, size_t n, uint32_t seed)
+{
+    uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t n, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint8_t> out(n);
+    for (uint8_t &b : out)
+        b = static_cast<uint8_t>(rng.next());
+    return out;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    // Lengths past 16 reach the sliced loop; the offsets cover every
+    // alignment of a 16-byte block, and the CRC seeds chain state in.
+    const std::pair<uint64_t, uint32_t> seeds[] = {
+        {1, 0u}, {2, 0xdeadbeefu}, {3, 0xffffffffu}};
+    for (auto [data_seed, crc_seed] : seeds) {
+        std::vector<uint8_t> buf = randomBytes(256 + 16, data_seed);
+        for (size_t off = 0; off < 16; ++off) {
+            for (size_t len = 0; len <= 256; ++len) {
+                ASSERT_EQ(crc32(buf.data() + off, len, crc_seed),
+                          referenceCrc32(buf.data() + off, len,
+                                         crc_seed))
+                    << "len " << len << " offset " << off
+                    << " data seed " << data_seed;
+            }
+        }
+    }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnOneMebibyte)
+{
+    std::vector<uint8_t> buf = randomBytes(1 << 20, 0xc3c32);
+    EXPECT_EQ(crc32(buf.data(), buf.size()),
+              referenceCrc32(buf.data(), buf.size(), 0));
+}
+
+TEST(Crc32, SeedChainsAtEverySplitPoint)
+{
+    std::vector<uint8_t> buf = randomBytes(1024, 0x5911);
+    uint32_t whole = crc32(buf.data(), buf.size());
+    for (size_t split = 0; split <= buf.size(); ++split) {
+        ASSERT_EQ(crc32(buf.data() + split, buf.size() - split,
+                        crc32(buf.data(), split)),
+                  whole)
+            << "split " << split;
+    }
+}
+
 TEST(ToHex, Formats)
 {
     uint8_t data[] = {0x00, 0xff, 0x1a};
