@@ -106,13 +106,18 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
     std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     std::vector<uint64_t> trial_keys(keys.size());
 
+    // Every retrain reads the same rows, so their fallback is
+    // computed once here, not once per trial drop.
+    const TablePredictor::TrainingRows training =
+        TablePredictor::trainingRows(ds, std::move(train_rows));
+
     TablePredictor model;
     // Span-wrapped phase helpers; with a null registry the spans are
     // inert and these are plain calls.
     auto train_model = [&](const std::vector<size_t> &use_cols,
                            const std::vector<uint64_t> &use_keys) {
         obs::Span s(cfg.obs, "train");
-        model.trainOnRows(ds, use_cols, train_rows, use_keys);
+        model.trainOnRows(ds, use_cols, training, use_keys);
     };
     auto eval_holdout = [&]() {
         obs::Span s(cfg.obs, "holdout");

@@ -102,6 +102,41 @@ TablePredictor::keyOfRow(const DatasetView &ds, size_t row,
            keyTerm(override_col, override_value);
 }
 
+TablePredictor::TrainingRows
+TablePredictor::trainingRows(const DatasetView &ds,
+                             std::vector<size_t> rows)
+{
+    // Weight and first row per label, in first-seen order.
+    struct Tally {
+        uint64_t label;
+        uint64_t weight;
+        size_t first;
+    };
+    std::vector<Tally> tallies;
+    std::unordered_map<uint64_t, size_t> index;
+    for (size_t row : rows) {
+        auto [it, fresh] = index.try_emplace(ds.label(row),
+                                             tallies.size());
+        if (fresh)
+            tallies.push_back(Tally{ds.label(row), 0, row});
+        tallies[it->second].weight += ds.weight(row);
+    }
+
+    TrainingRows out;
+    uint64_t best_w = 0;
+    for (const Tally &t : tallies) {
+        if (t.weight > best_w ||
+            (t.weight == best_w && best_w > 0 &&
+             t.label < out.fallbackLabel_)) {
+            best_w = t.weight;
+            out.fallbackLabel_ = t.label;
+            out.fallbackRow_ = t.first;
+        }
+    }
+    out.rows_ = std::move(rows);
+    return out;
+}
+
 void
 TablePredictor::train(const DatasetView &ds,
                       const std::vector<size_t> &feature_cols)
@@ -110,15 +145,17 @@ TablePredictor::train(const DatasetView &ds,
     for (size_t i = 0; i < rows.size(); ++i)
         rows[i] = i;
     ownedKeys_ = rowKeys(ds, feature_cols);
-    trainOnRows(ds, feature_cols, rows, ownedKeys_);
+    trainOnRows(ds, feature_cols, trainingRows(ds, std::move(rows)),
+                ownedKeys_);
 }
 
 void
 TablePredictor::trainOnRows(const DatasetView &ds,
                             const std::vector<size_t> &feature_cols,
-                            const std::vector<size_t> &rows,
+                            const TrainingRows &training,
                             std::span<const uint64_t> row_keys)
 {
+    const std::vector<size_t> &rows = training.rows();
     keys_ = row_keys;
     keysFor(ds);  // panics on a length mismatch
     cols_ = feature_cols;
@@ -147,14 +184,6 @@ TablePredictor::trainOnRows(const DatasetView &ds,
                   return a.pos < b.pos;
               });
 
-    // One (label, weight, first position) per (key, label) run, for
-    // the global fallback below.
-    struct LabelRun {
-        uint64_t label;
-        uint64_t weight;
-        size_t pos;
-    };
-    std::vector<LabelRun> runs;
     fkeys_.clear();
     flabels_.clear();
     freprs_.clear();
@@ -179,7 +208,6 @@ TablePredictor::trainOnRows(const DatasetView &ds,
             }
             ++e.distinct_labels;
             key_weight += w;
-            runs.push_back(LabelRun{lbl, w, first});
         }
         trained_weight += key_weight;
         if (e.distinct_labels > 1)
@@ -194,29 +222,9 @@ TablePredictor::trainOnRows(const DatasetView &ds,
                              static_cast<double>(trained_weight)
                        : 0.0;
 
-    // Global fallback over all trained rows, same tie rules; none
-    // when no row carries weight.
-    fallbackLabel_ = kNoLabel;
-    fallbackRow_ = SIZE_MAX;
-    std::sort(runs.begin(), runs.end(),
-              [](const LabelRun &a, const LabelRun &b) {
-                  if (a.label != b.label)
-                      return a.label < b.label;
-                  return a.pos < b.pos;
-              });
-    uint64_t best_w = 0;
-    for (size_t i = 0; i < runs.size();) {
-        uint64_t lbl = runs[i].label;
-        size_t first = runs[i].pos;
-        uint64_t w = 0;
-        for (; i < runs.size() && runs[i].label == lbl; ++i)
-            w += runs[i].weight;
-        if (w > best_w) {
-            best_w = w;
-            fallbackLabel_ = lbl;
-            fallbackRow_ = rows[first];
-        }
-    }
+    // Global fallback over the same rows, same tie rules.
+    fallbackLabel_ = training.fallbackLabel();
+    fallbackRow_ = training.fallbackRow();
 
     // Freeze: the flat entry columns above plus a power-of-two
     // open-addressing slot index (load factor <= 0.5), the deployed

@@ -58,6 +58,38 @@ class TablePredictor : public Predictor
                                std::span<const uint64_t> keys,
                                std::span<uint64_t> out);
 
+    /**
+     * The rows one training reads, with the global fallback over
+     * them: the label carrying the most weight summed over the rows
+     * (the smallest label on a tie) and, as its representative, the
+     * first row in rows order that holds it. There is no fallback
+     * (kNoLabel, SIZE_MAX) when no row carries weight. The fallback
+     * depends only on the rows, never on the key columns, so a
+     * selector that retrains on one row set under many column sets
+     * computes it once. Only trainingRows() builds one, so the
+     * fallback always belongs to its rows; it must be trained with
+     * the dataset it was built from.
+     */
+    class TrainingRows
+    {
+      public:
+        const std::vector<size_t> &rows() const { return rows_; }
+        uint64_t fallbackLabel() const { return fallbackLabel_; }
+        size_t fallbackRow() const { return fallbackRow_; }
+
+      private:
+        friend class TablePredictor;
+        TrainingRows() = default;
+
+        std::vector<size_t> rows_;
+        uint64_t fallbackLabel_ = kNoLabel;
+        size_t fallbackRow_ = SIZE_MAX;
+    };
+
+    /** @p rows of @p ds with their fallback (see TrainingRows). */
+    static TrainingRows trainingRows(const DatasetView &ds,
+                                     std::vector<size_t> rows);
+
     TablePredictor() = default;
     /** Not copyable: the copy would borrow the source's key array. */
     TablePredictor(const TablePredictor &) = delete;
@@ -68,16 +100,17 @@ class TablePredictor : public Predictor
                const std::vector<size_t> &feature_cols) override;
 
     /**
-     * Train on a row subset (for held-out evaluation). @p row_keys
-     * holds the key over @p feature_cols of every row of @p ds (not
-     * only of @p rows) and is borrowed until the next train: every
+     * Train on a row subset (for held-out evaluation), taking the
+     * global fallback from @p training. @p row_keys holds the key
+     * over @p feature_cols of every row of @p ds (not only of the
+     * training rows) and is borrowed until the next train: every
      * later lookup reads it, so it must outlive them unchanged.
      * Every call that takes a dataset panics unless the key array
      * has exactly ds.numRows() entries.
      */
     void trainOnRows(const DatasetView &ds,
                      const std::vector<size_t> &feature_cols,
-                     const std::vector<size_t> &rows,
+                     const TrainingRows &training,
                      std::span<const uint64_t> row_keys);
 
     uint64_t predict(const DatasetView &ds, size_t row,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -175,7 +176,8 @@ TEST(TablePredictorTest, StrictLookupMissesUnseenKeys)
     std::vector<size_t> train_rows = {0, 1, 2, 3, 4};
     std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     TablePredictor tp;
-    tp.trainOnRows(ds, cols, train_rows, keys);
+    tp.trainOnRows(ds, cols, TablePredictor::trainingRows(ds, train_rows),
+                   keys);
     uint64_t label;
     EXPECT_TRUE(tp.lookupLabel(ds, 0, label));
     EXPECT_FALSE(tp.lookupLabel(ds, 10, label));
@@ -189,7 +191,7 @@ TEST(TablePredictorTest, InsertRowFirstWins)
                                 ds.columnOf(syn.fb)};
     std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
     TablePredictor tp;
-    tp.trainOnRows(ds, cols, {}, keys);
+    tp.trainOnRows(ds, cols, TablePredictor::trainingRows(ds, {}), keys);
     tp.insertRow(ds, 3);
     uint64_t label;
     ASSERT_TRUE(tp.lookupLabel(ds, 3, label));
@@ -210,10 +212,273 @@ TEST(TablePredictorTest, RetrainOnNoRowsDropsOldFallback)
     ASSERT_NE(tp.predict(ds, 0), kNoLabel);
     // Nothing trained: no entry and no fallback left from before.
     std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
-    tp.trainOnRows(ds, cols, {}, keys);
+    tp.trainOnRows(ds, cols, TablePredictor::trainingRows(ds, {}), keys);
     EXPECT_EQ(tp.tableRows(), 0u);
     EXPECT_EQ(tp.predict(ds, 0), kNoLabel);
     EXPECT_EQ(tp.predictRow(ds, 0), SIZE_MAX);
+}
+
+/**
+ * A view over caller-given arrays, so a test can set any label and
+ * any weight, including 0 (a Dataset clamps weights to >= 1).
+ */
+class ArrayView : public DatasetView
+{
+  public:
+    ArrayView(std::vector<uint64_t> column_major_values,
+              std::vector<uint64_t> labels,
+              std::vector<uint64_t> weights, size_t features)
+        : v_(std::move(column_major_values)), l_(std::move(labels)),
+          w_(std::move(weights))
+    {
+        rows_ = l_.size();
+        values_ = v_.data();
+        labels_ = l_.data();
+        weights_ = w_.data();
+        for (uint64_t w : w_)
+            totalWeight_ += w;
+        for (size_t c = 0; c < features; ++c)
+            featureFields_.push_back(static_cast<events::FieldId>(c));
+    }
+    /** Not copyable: the base pointers would alias the source. */
+    ArrayView(const ArrayView &) = delete;
+    ArrayView &operator=(const ArrayView &) = delete;
+
+  private:
+    std::vector<uint64_t> v_, l_, w_;
+};
+
+/**
+ * Random view with two small-cardinality key columns (8 x 3 values,
+ * so a training subset misses some keys), at most five
+ * labels and weights in [0, 3]. @p balanced assigns labels round-robin
+ * at weight 1, so every label ties when n is a multiple of the label
+ * count; @p weightless makes every weight 0.
+ */
+ArrayView
+randomView(uint64_t seed, size_t n, bool balanced, bool weightless)
+{
+    util::Rng rng(seed);
+    size_t nlabels = static_cast<size_t>(rng.uniformInt(1, 5));
+    std::vector<uint64_t> palette(nlabels);
+    for (uint64_t &l : palette)
+        l = rng.next();
+    std::vector<uint64_t> values(2 * n), labels(n), weights(n);
+    for (size_t r = 0; r < n; ++r) {
+        values[r] = rng.uniformInt(0, 7);
+        values[n + r] = rng.uniformInt(0, 2);
+        labels[r] = balanced ? palette[r % nlabels]
+                             : palette[rng.uniformInt(0, nlabels - 1)];
+        weights[r] = weightless ? 0 : balanced ? 1 : rng.uniformInt(0, 3);
+    }
+    return ArrayView(std::move(values), std::move(labels),
+                     std::move(weights), 2);
+}
+
+/** Random row subset of @p ds in random order. */
+std::vector<size_t>
+randomRows(const DatasetView &ds, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<size_t> rows;
+    for (size_t r = 0; r < ds.numRows(); ++r)
+        if (rng.chance(0.7))
+            rows.push_back(r);
+    std::vector<size_t> perm = rng.permutation(rows.size());
+    std::vector<size_t> out(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        out[i] = rows[perm[i]];
+    return out;
+}
+
+struct Fallback {
+    uint64_t label = kNoLabel;
+    size_t row = SIZE_MAX;
+    bool tied = false;  // another label carried the same top weight
+};
+
+/** The fallback rules stated directly, one label at a time. */
+Fallback
+bruteForceFallback(const DatasetView &ds, const std::vector<size_t> &rows)
+{
+    std::set<uint64_t> labels;
+    for (size_t r : rows)
+        labels.insert(ds.label(r));
+    Fallback best;
+    uint64_t best_w = 0;
+    for (uint64_t lbl : labels) {  // ascending: smallest wins a tie
+        uint64_t w = 0;
+        size_t first = SIZE_MAX;
+        for (size_t r : rows) {
+            if (ds.label(r) != lbl)
+                continue;
+            w += ds.weight(r);
+            if (first == SIZE_MAX)
+                first = r;
+        }
+        if (w > best_w) {
+            best_w = w;
+            best = Fallback{lbl, first, false};
+        } else if (w == best_w && w > 0) {
+            best.tied = true;
+        }
+    }
+    return best;
+}
+
+TEST(TablePredictorTest, TrainingRowsFallbackMatchesBruteForce)
+{
+    size_t ties = 0, weightless = 0, checked = 0;
+    for (uint64_t seed = 1; seed <= 300; ++seed) {
+        size_t n = static_cast<size_t>(seed % 7 == 0 ? 0 : seed % 60);
+        ArrayView ds = randomView(seed, n, seed % 3 == 0, seed % 11 == 0);
+        std::vector<size_t> rows =
+            seed % 3 == 0 ? std::vector<size_t>() : randomRows(ds, seed);
+        if (seed % 3 == 0)  // all rows, so the balanced labels tie
+            for (size_t r = 0; r < n; ++r)
+                rows.push_back(r);
+        Fallback want = bruteForceFallback(ds, rows);
+        TablePredictor::TrainingRows got =
+            TablePredictor::trainingRows(ds, rows);
+        EXPECT_EQ(got.rows(), rows) << "seed " << seed;
+        EXPECT_EQ(got.fallbackLabel(), want.label) << "seed " << seed;
+        EXPECT_EQ(got.fallbackRow(), want.row) << "seed " << seed;
+        ties += want.tied;
+        weightless += want.label == kNoLabel;
+        ++checked;
+    }
+    // The draws must reach both tie rules.
+    EXPECT_GT(ties, 10u);
+    EXPECT_GT(weightless, 10u);
+    EXPECT_EQ(checked, 300u);
+}
+
+/** Table and fallback as the per-retrain tally built them. */
+struct OldTable {
+    std::map<uint64_t, std::pair<uint64_t, size_t>> entries;
+    uint64_t fallback_label = kNoLabel;
+    size_t fallback_row = SIZE_MAX;
+};
+
+/**
+ * The tally trainOnRows ran before the fallback moved into
+ * TrainingRows: one sort of (key, label, position) records, then
+ * (label, weight, first position) runs sorted by label for the
+ * fallback.
+ */
+OldTable
+oldTally(const DatasetView &ds, const std::vector<size_t> &rows,
+         const std::vector<uint64_t> &keys)
+{
+    struct Record {
+        uint64_t key, label;
+        size_t pos;
+    };
+    std::vector<Record> recs(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        recs[i] = Record{keys[rows[i]], ds.label(rows[i]), i};
+    std::sort(recs.begin(), recs.end(),
+              [](const Record &a, const Record &b) {
+                  if (a.key != b.key)
+                      return a.key < b.key;
+                  if (a.label != b.label)
+                      return a.label < b.label;
+                  return a.pos < b.pos;
+              });
+    struct LabelRun {
+        uint64_t label, weight;
+        size_t pos;
+    };
+    std::vector<LabelRun> runs;
+    OldTable t;
+    for (size_t i = 0; i < recs.size();) {
+        uint64_t key = recs[i].key;
+        uint64_t best_w = 0, best_label = kNoLabel;
+        size_t best_row = SIZE_MAX;
+        while (i < recs.size() && recs[i].key == key) {
+            uint64_t lbl = recs[i].label;
+            size_t first = recs[i].pos;
+            uint64_t w = 0;
+            for (; i < recs.size() && recs[i].key == key &&
+                   recs[i].label == lbl;
+                 ++i)
+                w += ds.weight(rows[recs[i].pos]);
+            if (w > best_w) {
+                best_w = w;
+                best_label = lbl;
+                best_row = rows[first];
+            }
+            runs.push_back(LabelRun{lbl, w, first});
+        }
+        t.entries[key] = {best_label, best_row};
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const LabelRun &a, const LabelRun &b) {
+                  if (a.label != b.label)
+                      return a.label < b.label;
+                  return a.pos < b.pos;
+              });
+    uint64_t best_w = 0;
+    for (size_t i = 0; i < runs.size();) {
+        uint64_t lbl = runs[i].label;
+        size_t first = runs[i].pos;
+        uint64_t w = 0;
+        for (; i < runs.size() && runs[i].label == lbl; ++i)
+            w += runs[i].weight;
+        if (w > best_w) {
+            best_w = w;
+            t.fallback_label = lbl;
+            t.fallback_row = rows[first];
+        }
+    }
+    return t;
+}
+
+TEST(TablePredictorTest, PredictionsMatchPerRetrainTally)
+{
+    size_t fallbacks_used = 0;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        ArrayView ds = randomView(seed, 80, seed % 3 == 0,
+                                  seed % 11 == 0);
+        std::vector<size_t> all(ds.numRows());
+        for (size_t r = 0; r < all.size(); ++r)
+            all[r] = r;
+        std::vector<size_t> cols = {0, 1};
+        // train() on every row, then trainOnRows() on a random subset
+        // in random order under two column sets, reusing one
+        // TrainingRows the way the selector does.
+        TablePredictor tp;
+        auto check = [&](const OldTable &ref,
+                         const std::vector<uint64_t> &keys,
+                         const char *what) {
+            for (size_t r = 0; r < ds.numRows(); ++r) {
+                auto it = ref.entries.find(keys[r]);
+                bool hit = it != ref.entries.end();
+                fallbacks_used += !hit;
+                EXPECT_EQ(tp.predict(ds, r),
+                          hit ? it->second.first : ref.fallback_label)
+                    << what << " seed " << seed << " row " << r;
+                EXPECT_EQ(tp.predictRow(ds, r),
+                          hit ? it->second.second : ref.fallback_row)
+                    << what << " seed " << seed << " row " << r;
+            }
+        };
+        std::vector<uint64_t> keys = TablePredictor::rowKeys(ds, cols);
+        tp.train(ds, cols);
+        check(oldTally(ds, all, keys), keys, "train");
+
+        TablePredictor::TrainingRows training =
+            TablePredictor::trainingRows(ds, randomRows(ds, seed));
+        for (const std::vector<size_t> &use : {cols,
+                                              std::vector<size_t>{1}}) {
+            std::vector<uint64_t> use_keys =
+                TablePredictor::rowKeys(ds, use);
+            tp.trainOnRows(ds, use, training, use_keys);
+            check(oldTally(ds, training.rows(), use_keys), use_keys,
+                  "trainOnRows");
+        }
+    }
+    EXPECT_GT(fallbacks_used, 0u);  // some rows miss every entry
 }
 
 TEST(TablePredictorTest, PredictRowReturnsRepresentative)
@@ -332,7 +597,8 @@ TEST(TablePredictorTest, IncrementalOverrideKeysMatchFromScratch)
     for (size_t r = 0; r < n; r += 2)
         train_rows.push_back(r);
     TablePredictor tp;
-    tp.trainOnRows(ds, cols, train_rows, keys);
+    tp.trainOnRows(ds, cols, TablePredictor::trainingRows(ds, train_rows),
+                   keys);
     std::vector<uint64_t> batched(n);
     tp.predictRows(ds, 0, n, batched.data(), col_a, ov.data());
     size_t hits = 0;
@@ -386,7 +652,9 @@ TEST(TablePredictorTest, WrongLengthKeyArrayPanics)
 
     bool prev = util::setThrowOnError(true);
     TablePredictor tp;
-    EXPECT_THROW(tp.trainOnRows(ds, cols, rows, short_keys),
+    EXPECT_THROW(tp.trainOnRows(ds, cols,
+                                TablePredictor::trainingRows(ds, rows),
+                                short_keys),
                  std::runtime_error);
     std::vector<uint64_t> out(keys.size());
     EXPECT_THROW(TablePredictor::dropColumnKeys(ds, cols[0],
@@ -398,7 +666,7 @@ TEST(TablePredictorTest, WrongLengthKeyArrayPanics)
 
     // Trained on ds's keys, then asked about a longer dataset: every
     // read path panics instead of indexing past the key array.
-    tp.trainOnRows(ds, cols, rows, keys);
+    tp.trainOnRows(ds, cols, TablePredictor::trainingRows(ds, rows), keys);
     uint64_t label = 0;
     std::vector<uint64_t> labels(longer.numRows());
     EXPECT_THROW(tp.predict(longer, 40), std::runtime_error);
