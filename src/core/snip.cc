@@ -5,27 +5,12 @@
 
 #include "ml/dataset.h"
 #include "obs/span.h"
-#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace snip {
 namespace core {
 
 namespace {
-
-/** Streaming CRC of @p n u64s through the view's residency hooks. */
-uint32_t
-crcOfU64(const ml::DatasetView &ds, const uint64_t *p, size_t n)
-{
-    size_t blk = std::max<size_t>(1, ds.streamBlockRows());
-    uint32_t crc = 0;
-    for (size_t base = 0; base < n; base += blk) {
-        size_t m = std::min(blk, n - base);
-        crc = util::crc32(p + base, m * sizeof(uint64_t), crc);
-        ds.noteStreamed(m * sizeof(uint64_t));
-    }
-    return crc;
-}
 
 /**
  * Content digest of everything a type's selection outcome is a
@@ -51,14 +36,14 @@ datasetKey(const ml::DatasetView &ds, events::EventType t,
     h = util::mixCombine(h, cfg.seed);
     for (events::FieldId fid : forced)
         h = util::mixCombine(h, static_cast<uint64_t>(fid));
-    h = util::mixCombine(h, crcOfU64(ds, ds.labelData(), n));
-    h = util::mixCombine(h, crcOfU64(ds, ds.weightData(), n));
+    h = util::mixCombine(h, ds.streamedCrc(ds.labelData(), n));
+    h = util::mixCombine(h, ds.streamedCrc(ds.weightData(), n));
     h = util::mixCombine(h, static_cast<uint64_t>(ds.numFeatures()));
     for (size_t c = 0; c < ds.numFeatures(); ++c) {
         uint64_t ch = util::mixCombine(
             static_cast<uint64_t>(c),
             static_cast<uint64_t>(ds.featureField(c)));
-        ch = util::mixCombine(ch, crcOfU64(ds, ds.columnData(c), n));
+        ch = util::mixCombine(ch, ds.streamedCrc(ds.columnData(c), n));
         h = util::mixCombine(h, ch);
     }
     return h ? h : 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace snip {
@@ -23,6 +24,19 @@ DatasetView::columnOf(events::FieldId fid) const
     if (it == featureFields_.end() || *it != fid)
         return SIZE_MAX;
     return static_cast<size_t>(it - featureFields_.begin());
+}
+
+uint32_t
+DatasetView::streamedCrc(const uint64_t *p, size_t n) const
+{
+    size_t blk = std::max<size_t>(1, streamBlockRows());
+    uint32_t crc = 0;
+    for (size_t base = 0; base < n; base += blk) {
+        size_t m = std::min(blk, n - base);
+        crc = util::crc32(p + base, m * sizeof(uint64_t), crc);
+        noteStreamed(m * sizeof(uint64_t));
+    }
+    return crc;
 }
 
 uint32_t

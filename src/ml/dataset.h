@@ -111,6 +111,15 @@ class DatasetView
      */
     virtual void noteStreamed(size_t bytes) const { (void)bytes; }
 
+    /**
+     * CRC-32 of @p n u64s of this view (a column, the labels or the
+     * weights), read in streamBlockRows()-row slices with a
+     * noteStreamed() after each, so hashing a multi-GB mapped column
+     * stays within the storage's residency bound. The slicing never
+     * changes the result.
+     */
+    uint32_t streamedCrc(const uint64_t *p, size_t n) const;
+
     /** Drop any droppable residency immediately (no-op in memory). */
     virtual void releaseResidency() const {}
 

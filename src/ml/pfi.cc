@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "obs/span.h"
-#include "util/crc32.h"
 #include "util/parallel.h"
 
 namespace snip {
@@ -74,23 +73,6 @@ permutedError(const Predictor &predictor, const DatasetView &ds,
            static_cast<double>(ds.totalWeight());
 }
 
-/**
- * CRC of @p n uint64s, streamed in block-sized slices so a mapped
- * store can bound residency while we hash a multi-GB column.
- */
-uint32_t
-crcOfU64(const DatasetView &ds, const uint64_t *p, size_t n)
-{
-    size_t blk = std::max<size_t>(1, ds.streamBlockRows());
-    uint32_t crc = 0;
-    for (size_t base = 0; base < n; base += blk) {
-        size_t m = std::min(blk, n - base);
-        crc = util::crc32(p + base, m * sizeof(uint64_t), crc);
-        ds.noteStreamed(m * sizeof(uint64_t));
-    }
-    return crc;
-}
-
 }  // namespace
 
 const PfiResult *
@@ -131,14 +113,14 @@ pfiCacheKey(const Predictor &predictor, const DatasetView &ds,
     // the scored columns (the predictor was trained on this column
     // set and predicts from it alone), so hashing those covers every
     // input of the result.
-    h = util::mixCombine(h, crcOfU64(ds, ds.labelData(), n));
-    h = util::mixCombine(h, crcOfU64(ds, ds.weightData(), n));
+    h = util::mixCombine(h, ds.streamedCrc(ds.labelData(), n));
+    h = util::mixCombine(h, ds.streamedCrc(ds.weightData(), n));
     h = util::mixCombine(h, static_cast<uint64_t>(cols.size()));
     for (size_t c : cols) {
         uint64_t ch = util::mixCombine(
             static_cast<uint64_t>(c),
             static_cast<uint64_t>(ds.featureField(c)));
-        ch = util::mixCombine(ch, crcOfU64(ds, ds.columnData(c), n));
+        ch = util::mixCombine(ch, ds.streamedCrc(ds.columnData(c), n));
         h = util::mixCombine(h, ch);
     }
     return h ? h : 1;

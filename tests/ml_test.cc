@@ -27,6 +27,7 @@
 #include "ml/table_predictor.h"
 #include "obs/metrics.h"
 #include "trace/recorder.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -1258,6 +1259,36 @@ TEST(ChunkedDatasetTest, BlockSizeInvarianceFuzz)
             EXPECT_EQ(f.fingerprint(), want_fp)
                 << "block " << blocks[bi];
             expectSameSelection(sel, want_sel);
+        }
+    }
+}
+
+// The streamed CRC behind the Shrink cache keys is the CRC of the
+// whole array at every block geometry.
+TEST(ChunkedDatasetTest, StreamedCrcIgnoresBlockSize)
+{
+    Synthetic syn(300, 4);
+    Dataset mem(syn.ptrs(), syn.schema);
+    size_t n = mem.numRows();
+    auto log = trainingLog(syn);
+    for (size_t block : {size_t{1}, size_t{7}, size_t{64}, n}) {
+        ChunkedConfig cfg;
+        cfg.block_rows = block;
+        auto cds = ChunkedDataset::attach(
+            log, events::EventType::Touch, syn.schema, cfg);
+        ASSERT_TRUE(cds.ok()) << cds.status().message();
+        const ChunkedDataset &ch = *cds.value();
+        EXPECT_EQ(ch.streamedCrc(ch.labelData(), n),
+                  util::crc32(mem.labelData(), n * sizeof(uint64_t)))
+            << "block " << block;
+        EXPECT_EQ(ch.streamedCrc(ch.weightData(), n),
+                  util::crc32(mem.weightData(), n * sizeof(uint64_t)))
+            << "block " << block;
+        for (size_t c = 0; c < mem.numFeatures(); ++c) {
+            EXPECT_EQ(ch.streamedCrc(ch.columnData(c), n),
+                      util::crc32(mem.columnData(c),
+                                  n * sizeof(uint64_t)))
+                << "block " << block << " column " << c;
         }
     }
 }
