@@ -107,7 +107,7 @@ selectNecessaryInputs(const DatasetView &ds, const SelectionConfig &cfg)
     std::vector<uint64_t> trial_keys(keys.size());
 
     // Every retrain reads the same rows, so their fallback is
-    // computed once here, not once per trial drop.
+    // computed once here.
     const TablePredictor::TrainingRows training =
         TablePredictor::trainingRows(ds, std::move(train_rows));
 

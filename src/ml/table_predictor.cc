@@ -106,30 +106,25 @@ TablePredictor::TrainingRows
 TablePredictor::trainingRows(const DatasetView &ds,
                              std::vector<size_t> rows)
 {
-    // Weight and first row per label, in first-seen order.
+    // Weight and first row per label. The pick below breaks every
+    // tie by label, so the map's iteration order does not matter.
     struct Tally {
-        uint64_t label;
         uint64_t weight;
         size_t first;
     };
-    std::vector<Tally> tallies;
-    std::unordered_map<uint64_t, size_t> index;
-    for (size_t row : rows) {
-        auto [it, fresh] = index.try_emplace(ds.label(row),
-                                             tallies.size());
-        if (fresh)
-            tallies.push_back(Tally{ds.label(row), 0, row});
-        tallies[it->second].weight += ds.weight(row);
-    }
+    std::unordered_map<uint64_t, Tally> tallies;
+    for (size_t row : rows)
+        tallies.try_emplace(ds.label(row), Tally{0, row})
+            .first->second.weight += ds.weight(row);
 
     TrainingRows out;
     uint64_t best_w = 0;
-    for (const Tally &t : tallies) {
+    for (const auto &[label, t] : tallies) {
         if (t.weight > best_w ||
             (t.weight == best_w && best_w > 0 &&
-             t.label < out.fallbackLabel_)) {
+             label < out.fallbackLabel_)) {
             best_w = t.weight;
-            out.fallbackLabel_ = t.label;
+            out.fallbackLabel_ = label;
             out.fallbackRow_ = t.first;
         }
     }
@@ -222,7 +217,7 @@ TablePredictor::trainOnRows(const DatasetView &ds,
                              static_cast<double>(trained_weight)
                        : 0.0;
 
-    // Global fallback over the same rows, same tie rules.
+    // The global fallback comes with the rows (see TrainingRows).
     fallbackLabel_ = training.fallbackLabel();
     fallbackRow_ = training.fallbackRow();
 

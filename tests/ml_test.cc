@@ -386,11 +386,11 @@ oldTally(const DatasetView &ds, const std::vector<size_t> &rows,
                       return a.label < b.label;
                   return a.pos < b.pos;
               });
-    struct LabelRun {
+    struct Run {
         uint64_t label, weight;
         size_t pos;
     };
-    std::vector<LabelRun> runs;
+    std::vector<Run> runs;
     OldTable t;
     for (size_t i = 0; i < recs.size();) {
         uint64_t key = recs[i].key;
@@ -409,12 +409,12 @@ oldTally(const DatasetView &ds, const std::vector<size_t> &rows,
                 best_label = lbl;
                 best_row = rows[first];
             }
-            runs.push_back(LabelRun{lbl, w, first});
+            runs.push_back(Run{lbl, w, first});
         }
         t.entries[key] = {best_label, best_row};
     }
     std::sort(runs.begin(), runs.end(),
-              [](const LabelRun &a, const LabelRun &b) {
+              [](const Run &a, const Run &b) {
                   if (a.label != b.label)
                       return a.label < b.label;
                   return a.pos < b.pos;
