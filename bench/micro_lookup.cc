@@ -2,8 +2,8 @@
  * @file
  * Microbenchmarks (google-benchmark) of the SNIP runtime hot path:
  * MemoTable lookup (hash + candidate compare) and insert, across
- * table sizes, plus the handler-execution ground-truth computation
- * the simulator performs per event.
+ * table sizes, plus the event generation and handler-execution
+ * ground-truth computation the simulator performs per event.
  *
  * The lookup benchmarks run single- and multi-threaded against ONE
  * shared const table (the concurrency contract the simulator's
@@ -18,14 +18,19 @@
  *     mutable build-side table.
  *
  * BM_SnipObserveKnown times SnipScheme::observe's online-fill dedupe
- * path (records already in the frozen table or the overlay), with
+ * path (records already in the frozen table or the overlay), and
+ * BM_HandlerProcess / BM_EventGeneration time Game::process and
+ * Game::makeEvent into reused caller-owned records, all with
  * allocs_per_iter counted the same way.
  *
  * The binary is also a self-check: it exits nonzero if any lookup
- * thread or the dedupe path allocated during its timed loop (or the
- * dedupe path grew the overlay), or if the frozen and
+ * thread, the dedupe path, or the process / event-generation loop
+ * allocated during its timed loop (or the dedupe path grew the
+ * overlay), or if the frozen and
  * mutable layouts disagree on any hit/miss, candidate count,
- * bytes_scanned, or matched output over the fixture's event stream.
+ * bytes_scanned, or matched output over the fixture's event stream,
+ * or if a Baseline session of any game allocates per event (a
+ * session twice as long must make exactly as many allocations).
  *
  * Unless the caller passes its own --benchmark_out, results are
  * also written as JSON to BENCH_micro_lookup.json.
@@ -305,31 +310,59 @@ BM_SnipObserveKnown(benchmark::State &state)
 }
 BENCHMARK(BM_SnipObserveKnown);
 
+/**
+ * Ground truth as the session runtime computes it: Game::process into
+ * one reused HandlerExecution. A warm-up pass over the whole stream
+ * grows it to the widest record, so the timed loop must not allocate.
+ */
 void
 BM_HandlerProcess(benchmark::State &state)
 {
     Fixture &f = fixture();
+    games::HandlerExecution ex;
+    for (const auto &ev : f.events)
+        f.game->process(ev, ex);
     size_t i = 0;
+    uint64_t allocs_before = t_allocs;
     for (auto _ : state) {
-        games::HandlerExecution ex =
-            f.game->process(f.events[i++ % f.events.size()]);
+        f.game->process(f.events[i++ % f.events.size()], ex);
         benchmark::DoNotOptimize(ex);
     }
+    uint64_t allocs = t_allocs - allocs_before;
+    if (allocs != 0)
+        g_alloc_violations.fetch_add(1, std::memory_order_relaxed);
+    state.counters["allocs_per_iter"] = benchmark::Counter(
+        static_cast<double>(allocs) /
+        static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_HandlerProcess);
 
+/**
+ * Event generation as EventGen drives it: Game::makeEvent into one
+ * reused EventObject. The first draws build the lazy Zipf tables and
+ * the gesture memory; after them the timed loop must not allocate.
+ */
 void
 BM_EventGeneration(benchmark::State &state)
 {
     Fixture &f = fixture();
     util::Rng rng(42);
     double now = 0.0;
+    events::EventObject ev;
+    for (int k = 0; k < 64; ++k)
+        f.game->makeEvent(events::EventType::Drag, now, rng, ev);
+    uint64_t allocs_before = t_allocs;
     for (auto _ : state) {
-        events::EventObject ev =
-            f.game->makeEvent(events::EventType::Drag, now, rng);
+        f.game->makeEvent(events::EventType::Drag, now, rng, ev);
         now += 0.01;
         benchmark::DoNotOptimize(ev);
     }
+    uint64_t allocs = t_allocs - allocs_before;
+    if (allocs != 0)
+        g_alloc_violations.fetch_add(1, std::memory_order_relaxed);
+    state.counters["allocs_per_iter"] = benchmark::Counter(
+        static_cast<double>(allocs) /
+        static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_EventGeneration);
 
@@ -448,14 +481,15 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    // Self-check 1: no lookup thread (at any thread count) and no
-    // dedupe loop may have allocated inside its timed loop.
+    // Self-check 1: no lookup thread (at any thread count), no
+    // dedupe loop and no process / event-generation loop may have
+    // allocated inside its timed loop.
     uint64_t alloc_violations =
         g_alloc_violations.load(std::memory_order_relaxed);
     if (alloc_violations != 0)
         std::fprintf(stderr,
-                     "FAIL: %llu lookup or dedupe loop(s) allocated "
-                     "during the timed loop\n",
+                     "FAIL: %llu benchmark loop(s) allocated during "
+                     "the timed loop\n",
                      static_cast<unsigned long long>(alloc_violations));
 
     // Self-check 2: the frozen and mutable layouts must make
@@ -536,8 +570,44 @@ main(int argc, char **argv)
         }
         benchmark::DoNotOptimize(sink);
     }
+
+    // Self-check 4: a Baseline session allocates nothing per event
+    // in steady state. Per game, after one warm-up session (the
+    // game's lazy Zipf tables and gesture memory persist across
+    // reset), a session twice as long (about twice the events) must
+    // make exactly as many heap allocations: only the per-session
+    // set-up allocates.
+    uint64_t session_fail = 0;
+    for (const auto &name : games::allGameNames()) {
+        auto game = games::makeGame(name);
+        uint64_t allocs[3], events[3];
+        for (int k = 0; k < 3; ++k) {
+            core::BaselineScheme baseline;
+            core::SimulationConfig cfg;
+            cfg.duration_s = k == 2 ? 40.0 : 20.0;
+            uint64_t before = t_allocs;
+            core::SessionResult r = core::runSession(*game, baseline, cfg);
+            allocs[k] = t_allocs - before;
+            events[k] = r.stats.events;
+        }
+        if (allocs[2] != allocs[1]) {
+            ++session_fail;
+            std::fprintf(stderr,
+                         "FAIL: %s Baseline session allocated %llu "
+                         "times over %llu events, %llu over %llu\n",
+                         name.c_str(),
+                         static_cast<unsigned long long>(allocs[1]),
+                         static_cast<unsigned long long>(events[1]),
+                         static_cast<unsigned long long>(allocs[2]),
+                         static_cast<unsigned long long>(events[2]));
+        }
+    }
+    if (session_fail == 0)
+        std::fprintf(stderr, "sessions: Baseline allocates nothing per "
+                             "event on all games\n");
+
     return (alloc_violations != 0 || mismatches != 0 ||
-            dispatch_fail != 0)
+            dispatch_fail != 0 || session_fail != 0)
                ? 1
                : 0;
 }

@@ -231,6 +231,9 @@ cmdSelect(const Args &args)
     if (!st.ok())
         util::fatal("select: %s", st.message().c_str());
     auto game = games::makeGame(tr.game);
+    st = trace::Replayer::check(tr, *game);
+    if (!st.ok())
+        util::fatal("select: %s", st.message().c_str());
     trace::Profile profile = trace::Replayer::replay(tr, *game);
 
     std::string out = args.get("out");
@@ -314,6 +317,9 @@ cmdConvert(const Args &args)
                 util::fatal("convert: %s", st.message().c_str());
         }
         auto game = games::makeGame(tr.game);
+        st = trace::Replayer::check(tr, *game);
+        if (!st.ok())
+            util::fatal("convert: %s", st.message().c_str());
         trace::Profile profile = trace::Replayer::replay(tr, *game);
         std::vector<uint8_t> bytes;
         st = trace::ColumnarLog::encodeTraining(profile, &bytes);

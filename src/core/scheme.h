@@ -82,7 +82,12 @@ class Scheme
                             const events::EventObject &ev,
                             const games::HandlerExecution &truth) = 0;
 
-    /** Observe a fully processed execution (learn/insert). */
+    /**
+     * Observe a fully processed execution (learn/insert). The
+     * session reuses @p truth's storage (and @p ev's in decide) for
+     * the next event, so an implementation must copy anything it
+     * keeps.
+     */
     virtual void observe(const games::HandlerExecution &truth)
     {
         (void)truth;

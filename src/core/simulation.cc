@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "core/output_diff.h"
 #include "events/binder.h"
@@ -47,11 +48,21 @@ namespace {
 struct GenItem {
     enum class Kind : uint8_t { Block, FrameEnd };
     Kind kind = Kind::Block;
-    /** Block: the events, in delivery order. */
+    /**
+     * Block: event slots, reused from item to item so generation
+     * allocates nothing in steady state; the first @p count hold the
+     * block, in delivery order.
+     */
     std::vector<events::EventObject> events;
+    size_t count = 0;
     /** FrameEnd: the frame boundary time and its advance delta. */
     double frame_end = 0.0;
     double dt = 0.0;
+
+    std::span<const events::EventObject> block() const
+    {
+        return {events.data(), count};
+    }
 };
 
 /**
@@ -122,6 +133,8 @@ class SessionBody
     events::BinderChannel binder_;
     trace::EventRecorder recorder_;
     SessionStats stats_;
+    /** Ground truth of the current event, reused across events. */
+    games::HandlerExecution truth_;
 
     /** Per-IP last-use clock for the sleep policy. */
     std::array<double, soc::kNumIpKinds> ipLastUse_;
@@ -178,8 +191,8 @@ EventGen::next(GenItem &item)
     // the sequential loop's: makeEvent, then the arrival draw, per
     // event.
     const auto &mix = game_.params().mix;
-    item.events.clear();
-    while (item.events.size() < block_) {
+    item.count = 0;
+    while (item.count < block_) {
         size_t best = SIZE_MAX;
         for (size_t i = 0; i < mix.size(); ++i) {
             if (next_at_[i] < frame_end_ &&
@@ -188,12 +201,14 @@ EventGen::next(GenItem &item)
         }
         if (best == SIZE_MAX)
             break;
-        item.events.push_back(
-            game_.makeEvent(mix[best].type, next_at_[best], rng_));
+        if (item.count == item.events.size())
+            item.events.emplace_back();
+        game_.makeEvent(mix[best].type, next_at_[best], rng_,
+                        item.events[item.count++]);
         next_at_[best] +=
             rng_.uniformReal(0.7, 1.3) / mix[best].rate_hz;
     }
-    if (!item.events.empty()) {
+    if (item.count > 0) {
         item.kind = GenItem::Kind::Block;
         return true;
     }
@@ -250,7 +265,8 @@ SessionBody::processEvent(const events::EventObject &ev)
     sensorMgr_.deliver(ev);
     binder_.transfer(ev);
 
-    games::HandlerExecution truth = game_.process(ev);
+    game_.process(ev, truth_);
+    const games::HandlerExecution &truth = truth_;
     Decision d = scheme_.decide(game_, ev, truth);
 
     ++stats_.events;
@@ -438,10 +454,10 @@ runSession(games::Game &game, Scheme &scheme,
     GenItem item;
     while (gen.next(item)) {
         if (item.kind == GenItem::Kind::Block) {
-            if (item.events.size() > 1)
-                scheme.prepareBatch(
-                    {item.events.data(), item.events.size()});
-            for (const auto &ev : item.events)
+            std::span<const events::EventObject> block = item.block();
+            if (block.size() > 1)
+                scheme.prepareBatch(block);
+            for (const auto &ev : block)
                 body.processEvent(ev);
         } else {
             body.frameEnd(item.frame_end, item.dt);

@@ -1,7 +1,9 @@
 #include "games/game.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstring>
 #include <unordered_map>
 
 #include "util/bytes.h"
@@ -23,15 +25,34 @@ constexpr uint64_t kSaltCost = 0x0c057c05ULL;
 constexpr uint64_t kSaltWhich = 0x0071c400ULL;
 constexpr uint64_t kSaltTempOnly = 0x007e3b01ULL;
 
-/** Value of a field within an event object; panics when absent. */
-uint64_t
-eventValue(const events::EventObject &ev, events::FieldId fid)
+/** FNV-1a offset basis: util::fnv1a's default seed. */
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/**
+ * One 64-bit word into a running FNV-1a: the same bytes, in memory
+ * order, that util::fnv1a hashes for a word array.
+ */
+inline uint64_t
+fnvWord(uint64_t h, uint64_t w)
 {
-    const events::FieldValue *fv = events::findField(ev.fields, fid);
-    if (!fv)
-        util::panic("event %s missing field id %u",
-                    events::eventTypeName(ev.type), fid);
-    return fv->value;
+    unsigned char b[sizeof w];
+    std::memcpy(b, &w, sizeof w);
+    for (unsigned char c : b) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Whether @p v is in canonical (non-decreasing id) order. */
+[[maybe_unused]] bool
+idSorted(const std::vector<events::FieldValue> &v)
+{
+    return std::is_sorted(v.begin(), v.end(),
+                          [](const events::FieldValue &a,
+                             const events::FieldValue &b) {
+                              return a.id < b.id;
+                          });
 }
 
 }  // namespace
@@ -166,13 +187,8 @@ Game::buildSchema()
         }
         for (const auto &n : spec.history_outputs)
             ids.hist_out.push_back(hist_index(n));
-        if (!spec.complexity_field.empty()) {
+        if (!spec.complexity_field.empty())
             ids.complexity = hist_index(spec.complexity_field);
-            ids.complexity_is_necessary =
-                std::find(ids.necessary_hist.begin(),
-                          ids.necessary_hist.end(),
-                          ids.complexity) != ids.necessary_hist.end();
-        }
         if (!spec.plateau_history_field.empty()) {
             ids.plateau = hist_index(spec.plateau_history_field);
             const auto &d = hist[ids.plateau];
@@ -205,6 +221,40 @@ Game::buildSchema()
                             spec.extern_field.c_str());
             ids.extern_in = it->second;
         }
+
+        // Compiled layout. The history reads in process()'s old
+        // append order, stably sorted by id; the complexity field is
+        // read once when it is also necessary.
+        ids.type_salt = typeSalt(spec.type);
+        ids.hash_seed = fnvWord(kFnvOffset, ids.type_salt);
+        auto hist_input = [&](uint32_t i, HistRole role) {
+            ids.hist_in.push_back({hist[i].in_fid, hist[i].size_bytes,
+                                   role});
+        };
+        for (uint32_t i : ids.necessary_hist)
+            hist_input(i, HistRole::Necessary);
+        if (ids.complexity != kNone &&
+            std::find(ids.necessary_hist.begin(), ids.necessary_hist.end(),
+                      ids.complexity) == ids.necessary_hist.end())
+            hist_input(ids.complexity, HistRole::Complexity);
+        for (uint32_t i : ids.scoring_hist)
+            hist_input(i, HistRole::Scoring);
+        std::stable_sort(ids.hist_in.begin(), ids.hist_in.end(),
+                         [](const HistInput &a, const HistInput &b) {
+                             return a.fid < b.fid;
+                         });
+        for (uint32_t k = 0; k < ids.scoring_hist.size(); ++k) {
+            const auto &d = hist[ids.scoring_hist[k]];
+            ids.scoring_out.push_back({d.in_fid, d.out_fid, k});
+        }
+        std::stable_sort(ids.scoring_out.begin(), ids.scoring_out.end(),
+                         [](const ScoringOutput &a,
+                            const ScoringOutput &b) {
+                             return a.out_fid < b.out_fid;
+                         });
+        ids.max_inputs = ids.hist_in.size() + spec.event_fields.size() +
+                         ids.blocks.size() + 1;
+        ids.max_outputs = ids.scoring_out.size() + ids.temp_out.size() + 2;
     }
 
     blockOf_.assign(schema_.size(), kNone);
@@ -265,22 +315,22 @@ Game::zipfCdf(uint32_t index)
     return cdf;
 }
 
-events::EventObject
-Game::makeEvent(events::EventType t, double now, util::Rng &rng)
+void
+Game::makeEvent(events::EventType t, double now, util::Rng &rng,
+                events::EventObject &ev)
 {
     size_t h = handlerIndex(t);
     const HandlerSpec &spec = params_.handlers[h];
     const HandlerIds &ids = handlerIds_[h];
     GenMemory &mem = genMem_[static_cast<int>(t)];
 
-    events::EventObject ev;
     ev.type = t;
     ev.seq = seq_++;
     ev.timestamp = now;
 
     if (mem.valid && rng.chance(params_.user.exact_repeat_prob)) {
         ev.fields = mem.fields;  // finger held still: exact repeat
-        return ev;
+        return;
     }
 
     bool burst = mem.valid && rng.chance(params_.user.burst_continue_prob);
@@ -297,28 +347,67 @@ Game::makeEvent(events::EventType t, double now, util::Rng &rng)
     };
     uint64_t latent[2] = {zipf_draw(noiseZipf_), zipf_draw(noiseZipf_)};
 
+    // Event field ids were registered in spec order, so writing by
+    // position emits the canonical layout (a burst's memory has the
+    // same layout).
     size_t noise_idx = 0;
-    ev.fields.reserve(spec.event_fields.size());
+    ev.fields.resize(spec.event_fields.size());
     for (size_t k = 0; k < spec.event_fields.size(); ++k) {
         const EventFieldSpec &efs = spec.event_fields[k];
         uint64_t value;
         if (efs.necessary) {
-            value = burst ? events::findField(mem.fields, efs.fid)->value
-                          : zipf_draw(ids.zipf[k]);
+            value = burst ? mem.fields[k].value : zipf_draw(ids.zipf[k]);
         } else {
             value = util::mixCombine(
                 efs.fid, latent[noise_idx++ % 2]);
         }
-        ev.fields.push_back({efs.fid, value});
+        ev.fields[k] = {efs.fid, value};
     }
-    events::canonicalize(ev.fields);
+    assert(idSorted(ev.fields));
     mem.valid = true;
     mem.fields = ev.fields;
+}
+
+events::EventObject
+Game::makeEvent(events::EventType t, double now, util::Rng &rng)
+{
+    events::EventObject ev;
+    makeEvent(t, now, rng, ev);
     return ev;
 }
 
-HandlerExecution
-Game::process(const events::EventObject &ev) const
+util::Status
+Game::checkEvent(const events::EventObject &ev) const
+{
+    int ti = static_cast<int>(ev.type);
+    if (ti < 0 || ti >= events::kNumEventTypes || handlerIdx_[ti] < 0)
+        return util::Status::Errorf("game %s: event seq %llu has "
+                                    "unhandled type %d",
+                                    params_.name.c_str(),
+                                    static_cast<unsigned long long>(
+                                        ev.seq), ti);
+    const HandlerSpec &spec =
+        params_.handlers[static_cast<size_t>(handlerIdx_[ti])];
+    const char *tn = events::eventTypeName(ev.type);
+    if (ev.fields.size() != spec.event_fields.size())
+        return util::Status::Errorf(
+            "game %s: %s event seq %llu has %zu fields, its layout "
+            "has %zu", params_.name.c_str(), tn,
+            static_cast<unsigned long long>(ev.seq), ev.fields.size(),
+            spec.event_fields.size());
+    for (size_t k = 0; k < ev.fields.size(); ++k) {
+        if (ev.fields[k].id != spec.event_fields[k].fid)
+            return util::Status::Errorf(
+                "game %s: %s event seq %llu field %zu has id %u, its "
+                "layout has %u", params_.name.c_str(), tn,
+                static_cast<unsigned long long>(ev.seq), k,
+                ev.fields[k].id, spec.event_fields[k].fid);
+    }
+    return util::Status::Ok();
+}
+
+void
+Game::process(const events::EventObject &ev, HandlerExecution &ex) const
 {
     int idx = handlerIdx_[static_cast<int>(ev.type)];
     if (idx < 0)
@@ -326,63 +415,50 @@ Game::process(const events::EventObject &ev) const
                     params_.name.c_str(), events::eventTypeName(ev.type));
     const HandlerSpec &spec = params_.handlers[static_cast<size_t>(idx)];
     const HandlerIds &ids = handlerIds_[static_cast<size_t>(idx)];
-
     const auto &hist = params_.history_fields;
-    const uint64_t type_salt = typeSalt(ev.type);
 
-    HandlerExecution ex;
-    ex.type = ev.type;
-    ex.seq = ev.seq;
-    // Upper bounds of what the sections below append.
-    ex.inputs.reserve(ev.fields.size() + ids.necessary_hist.size() +
-                      ids.blocks.size() + ids.scoring_hist.size() + 2);
-    ex.inputs.assign(ev.fields.begin(), ev.fields.end());
-    ex.outputs.reserve(ids.temp_out.size() + ids.scoring_hist.size() + 2);
-
-    // --- Necessary-input vector (the ground truth PFI must find) ---
-    std::vector<uint64_t> vals;
-    vals.reserve(1 + spec.event_fields.size() + ids.necessary_hist.size() +
-                 ids.scoring_hist.size());
-    vals.push_back(type_salt);
-    for (const auto &efs : spec.event_fields) {
+    // --- Necessary-input hash (the ground truth PFI must find) ---
+    // One running FNV-1a over the type salt (hash_seed), the
+    // necessary event fields and the necessary history fields; the
+    // scoring branch continues it into necessary_hash. In.Event
+    // values are read by position, after one id compare each.
+    const size_t nfields = spec.event_fields.size();
+    if (ev.fields.size() != nfields)
+        util::panic("event %s has %zu fields, its layout has %zu",
+                    events::eventTypeName(ev.type), ev.fields.size(),
+                    nfields);
+    uint64_t vhash = ids.hash_seed;
+    for (size_t k = 0; k < nfields; ++k) {
+        const EventFieldSpec &efs = spec.event_fields[k];
+        if (ev.fields[k].id != efs.fid)
+            util::panic("event %s missing field id %u",
+                        events::eventTypeName(ev.type), efs.fid);
         if (efs.necessary)
-            vals.push_back(util::mixCombine(efs.fid,
-                                            eventValue(ev, efs.fid)));
+            vhash = fnvWord(vhash, util::mixCombine(
+                                       efs.fid, ev.fields[k].value));
     }
     for (uint32_t i : ids.necessary_hist) {
-        const auto &d = hist[i];
-        uint64_t v = state_.get(d.in_fid);
-        ex.inputs.push_back({d.in_fid, v});
-        vals.push_back(util::mixCombine(d.in_fid, v));
+        events::FieldId fid = hist[i].in_fid;
+        vhash = fnvWord(vhash, util::mixCombine(fid, state_.get(fid)));
     }
-    uint64_t vhash = util::hashWords(vals);
-    // necessary_hash continues this FNV-1a pass over the words the
-    // scoring branch appends (FNV-1a has no finalizer).
-    const size_t vhash_words = vals.size();
 
     // --- Unnecessary reads: complexity, context blocks, extern ---
     uint64_t complexity = 0;
+    uint32_t blocks = 0;
     if (ids.complexity != kNone) {
         const auto &d = hist[ids.complexity];
         complexity = state_.get(d.in_fid);
-        if (!ids.complexity_is_necessary)
-            ex.inputs.push_back({d.in_fid, complexity});
-        uint32_t blocks = d.buckets
+        blocks = d.buckets
             ? static_cast<uint32_t>(complexity * spec.max_history_blocks /
                                     d.buckets)
             : 0;
         if (spec.max_history_blocks > 0 && blocks == 0)
             blocks = 1;  // even a bare scene has one context block
         blocks = std::min<uint32_t>(blocks, spec.max_history_blocks);
-        for (uint32_t j = 0; j < blocks; ++j)
-            ex.inputs.push_back({ids.blocks[j], state_.blockContent(j)});
     }
-    if (ids.extern_in != events::kInvalidField &&
+    bool extern_read = ids.extern_in != events::kInvalidField &&
         util::mixCombine(vhash, kSaltExtIn) % 1000000 <
-            spec.extern_per_million) {
-        events::FieldId xf = ids.extern_in;
-        ex.inputs.push_back({xf, util::mixCombine(params_.salt, xf)});
-    }
+            spec.extern_per_million;
 
     // --- Useless (no-op) decision: deterministic in the combo ---
     bool useless = false;
@@ -390,7 +466,7 @@ Game::process(const events::EventObject &ev) const
         const auto &d = hist[ids.plateau];
         const auto &efs = spec.event_fields[ids.plateau_event];
         uint64_t hv = state_.get(d.in_fid);
-        uint64_t evv = eventValue(ev, efs.fid);
+        uint64_t evv = ev.fields[ids.plateau_event].value;
         if (d.buckets && hv == d.buckets - 1 &&
             evv * 4 >= 3ull * efs.cardinality)
             useless = true;
@@ -398,20 +474,26 @@ Game::process(const events::EventObject &ev) const
     useless = useless ||
         util::mixCombine(vhash, kSaltUseless) % 10000 <
             spec.useless_per_myriad;
-    ex.useless = useless;
 
+    ex.type = ev.type;
+    ex.seq = ev.seq;
+    ex.useless = useless;
+    ex.scoring = false;
+    // Reserving the handler's largest record bounds the growth of
+    // reused storage by the number of handlers, not by the events.
+    ex.outputs.clear();
+    ex.outputs.reserve(ids.max_outputs);
+    uint64_t necessary_hash = vhash;
     bool state_changed = false;
     if (!useless) {
         uint64_t pattern = util::mixCombine(vhash, kSaltPattern) %
                            std::max<uint32_t>(1, spec.output_cardinality);
-        uint64_t pkey = util::mixCombine(type_salt, pattern + 1);
+        uint64_t pkey = util::mixCombine(ids.type_salt, pattern + 1);
         bool scoring = util::mixCombine(vhash, kSaltScore) % 100 <
                        spec.scoring_per_cent;
         scoring = scoring && !ids.scoring_hist.empty();
         ex.scoring = scoring;
 
-        for (events::FieldId tf : ids.temp_out)
-            ex.outputs.push_back({tf, util::mixCombine(pkey, tf)});
         // Some reactions are render/haptic-only (Out.Temp) and leave
         // the state untouched; otherwise a single event advances
         // only one piece of game state (a tile, the stretch, the
@@ -422,38 +504,73 @@ Game::process(const events::EventObject &ev) const
         // differing in their transient output.
         bool temp_only = util::mixCombine(vhash, kSaltTempOnly) % 100 <
                          spec.temp_only_per_cent;
+        events::FieldValue write;
         if (!ids.hist_out.empty() && !temp_only) {
             size_t which = util::mixCombine(vhash, kSaltWhich) %
                            ids.hist_out.size();
             const auto &d = hist[ids.hist_out[which]];
-            uint64_t coarse = util::mixCombine(type_salt, pattern / 4 + 1);
-            uint64_t value = util::mixCombine(coarse, d.out_fid);
-            ex.outputs.push_back({d.out_fid, value});
-            state_changed |= state_.wouldChange(d.out_fid, value);
+            uint64_t coarse =
+                util::mixCombine(ids.type_salt, pattern / 4 + 1);
+            write = {d.out_fid, util::mixCombine(coarse, d.out_fid)};
+            state_changed = state_.wouldChange(write.id, write.value);
         }
+
+        // Out.History in id order: the scoring writes, with the
+        // state write ahead of any scoring write to the same id.
         if (scoring) {
-            uint32_t k = 0;
             for (uint32_t i : ids.scoring_hist) {
-                const auto &d = hist[i];
-                uint64_t cur = state_.get(d.in_fid);
-                ex.inputs.push_back({d.in_fid, cur});
-                vals.push_back(util::mixCombine(d.in_fid, cur));
-                uint64_t u = util::mixCombine(vhash, kSaltDelta + k++);
-                ex.outputs.push_back({d.out_fid, cur + 1 + u % 50});
-                state_changed = true;
+                events::FieldId fid = hist[i].in_fid;
+                necessary_hash = fnvWord(
+                    necessary_hash,
+                    util::mixCombine(fid, state_.get(fid)));
             }
-            if (ids.extern_out != events::kInvalidField &&
-                util::mixCombine(vhash, kSaltExtOut) % 5 == 0) {
+            for (const ScoringOutput &so : ids.scoring_out) {
+                if (write.id != events::kInvalidField &&
+                    write.id <= so.out_fid) {
+                    ex.outputs.push_back(write);
+                    write.id = events::kInvalidField;
+                }
+                uint64_t u = util::mixCombine(vhash, kSaltDelta + so.k);
                 ex.outputs.push_back(
-                    {ids.extern_out,
-                     util::mixCombine(pkey, ids.extern_out)});
+                    {so.out_fid, state_.get(so.in_fid) + 1 + u % 50});
             }
+            state_changed = true;
+        }
+        if (write.id != events::kInvalidField)
+            ex.outputs.push_back(write);
+        for (events::FieldId tf : ids.temp_out)
+            ex.outputs.push_back({tf, util::mixCombine(pkey, tf)});
+        if (scoring && ids.extern_out != events::kInvalidField &&
+            util::mixCombine(vhash, kSaltExtOut) % 5 == 0) {
+            ex.outputs.push_back(
+                {ids.extern_out, util::mixCombine(pkey, ids.extern_out)});
         }
     }
-    ex.necessary_hash = util::fnv1a(
-        vals.data() + vhash_words,
-        (vals.size() - vhash_words) * sizeof(uint64_t), vhash);
+    ex.necessary_hash = necessary_hash;
     ex.state_changed = state_changed;
+
+    // --- Inputs in id order: history, extern, event, blocks ---
+    ex.inputs.clear();
+    ex.inputs.reserve(ids.max_inputs);
+    uint64_t input_bytes = 0;
+    for (const HistInput &hi : ids.hist_in) {
+        if (hi.role == HistRole::Scoring && !ex.scoring)
+            continue;
+        ex.inputs.push_back({hi.fid, state_.get(hi.fid)});
+        input_bytes += hi.size_bytes;
+    }
+    if (extern_read) {
+        events::FieldId xf = ids.extern_in;
+        ex.inputs.push_back({xf, util::mixCombine(params_.salt, xf)});
+        input_bytes += params_.extern_bytes;
+    }
+    ex.inputs.insert(ex.inputs.end(), ev.fields.begin(), ev.fields.end());
+    input_bytes += events::eventObjectBytes(ev.type);
+    for (uint32_t j = 0; j < blocks; ++j)
+        ex.inputs.push_back({ids.blocks[j], state_.blockContent(j)});
+    input_bytes += static_cast<uint64_t>(blocks) * spec.history_block_bytes;
+    assert(idSorted(ex.inputs));
+    assert(idSorted(ex.outputs));
 
     // --- Cost model (deterministic in combo + complexity) ---
     uint64_t cu = util::mixCombine(vhash, kSaltCost);
@@ -466,17 +583,20 @@ Game::process(const events::EventObject &ev) const
         (ex.scoring ? 1.3 : 1.0);
     ex.cpu_instructions =
         static_cast<uint64_t>(spec.minstr_mean * scale * 1e6);
-    ex.ip_calls.reserve(spec.ip_calls.size());
+    ex.ip_calls.clear();
     for (const auto &c : spec.ip_calls)
         ex.ip_calls.push_back({c.kind, c.work_units * scale});
-    uint64_t input_bytes = schema_.bytesOf(ex.inputs);
     ex.memory_bytes = static_cast<uint64_t>(
         spec.mem_bytes_factor * static_cast<double>(input_bytes)) +
         ex.cpu_instructions / 16;
     ex.maxcpu_fraction = spec.maxcpu_repeat_fraction;
+}
 
-    events::canonicalize(ex.inputs);
-    events::canonicalize(ex.outputs);
+HandlerExecution
+Game::process(const events::EventObject &ev) const
+{
+    HandlerExecution ex;
+    process(ev, ex);
     return ex;
 }
 

@@ -30,6 +30,7 @@
 #include "games/game_state.h"
 #include "games/handler.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace snip {
 namespace games {
@@ -119,17 +120,36 @@ class Game
     const HandlerSpec &handler(events::EventType t) const;
 
     /**
-     * Draw the next event of type @p t at simulated time @p now.
+     * Draw the next event of type @p t at simulated time @p now into
+     * @p ev, overwriting every field and reusing its storage.
      * Consumes randomness from @p rng; advances per-type gesture
-     * memory (bursts / exact repeats).
+     * memory (bursts / exact repeats). The fields come out in the
+     * handler's compiled In.Event layout (canonical id order).
      */
+    void makeEvent(events::EventType t, double now, util::Rng &rng,
+                   events::EventObject &ev);
+    /** By-value form of makeEvent(t, now, rng, ev). */
     events::EventObject makeEvent(events::EventType t, double now,
                                   util::Rng &rng);
 
     /**
-     * Compute the full execution of @p ev against the current state.
-     * Pure: identical (event, state) gives identical results.
+     * Check @p ev against the compiled In.Event layout: the game
+     * handles its type, and its fields are exactly the handler's
+     * event fields, in layout order. process() requires this (it
+     * panics otherwise); call it on events from untrusted input.
      */
+    util::Status checkEvent(const events::EventObject &ev) const;
+
+    /**
+     * Compute the full execution of @p ev against the current state
+     * into @p ex, overwriting every field and reusing its storage.
+     * Pure: identical (event, state) gives identical results. @p ev
+     * must pass checkEvent(); inputs and outputs are emitted in
+     * canonical id order by construction.
+     */
+    void process(const events::EventObject &ev,
+                 HandlerExecution &ex) const;
+    /** By-value form of process(ev, ex). */
     HandlerExecution process(const events::EventObject &ev) const;
 
     /** Commit output writes to the state. */
@@ -185,13 +205,54 @@ class Game
     /** Per field id: context-block index, or kNone. */
     std::vector<uint32_t> blockOf_;
 
+    /** Why a history field is among a handler's inputs. */
+    enum class HistRole : uint8_t { Necessary, Complexity, Scoring };
+
+    /** One history input of a handler's compiled input layout. */
+    struct HistInput {
+        events::FieldId fid = events::kInvalidField;
+        uint32_t size_bytes = 0;
+        HistRole role = HistRole::Necessary;
+    };
+
+    /** One scoring write: read in_fid, write out_fid. */
+    struct ScoringOutput {
+        events::FieldId in_fid = events::kInvalidField;
+        events::FieldId out_fid = events::kInvalidField;
+        /** Position in spec.scoring_history (salts the delta). */
+        uint32_t k = 0;
+    };
+
     /**
      * Everything a handler spec names, resolved once in buildSchema
      * so the per-event paths only index arrays. History fields are
      * indices into params_.history_fields (not pointers), so an
      * implicitly copied Game stays valid.
+     *
+     * The record layout is compiled here too. Schema registration
+     * order puts history ids < extern ids < the handler's event ids
+     * < its block ids on the input side, and history out ids < its
+     * temp ids < its extern output id on the output side, so
+     * process() emits records in canonical id order by appending:
+     * hist_in (already in id order), the extern input, the event
+     * fields, the blocks; and the history writes (scoring_out merged
+     * with the one state write), the temps, the extern output.
      */
     struct HandlerIds {
+        /** typeSalt(type), and the FNV-1a state after hashing it. */
+        uint64_t type_salt = 0;
+        uint64_t hash_seed = 0;
+        /**
+         * History inputs in id order. Entries of one id keep the
+         * order necessary < complexity < scoring (then spec order),
+         * the order a stable sort of the appended reads gives.
+         */
+        std::vector<HistInput> hist_in;
+        /** Scoring writes in out-id order (stable in spec order). */
+        std::vector<ScoringOutput> scoring_out;
+        /** Most inputs / outputs one execution can emit. */
+        size_t max_inputs = 0;
+        size_t max_outputs = 0;
         std::vector<events::FieldId> temp_out;
         events::FieldId extern_out = events::kInvalidField;
         std::vector<events::FieldId> blocks;
@@ -199,8 +260,6 @@ class Game
         std::vector<uint32_t> scoring_hist;
         std::vector<uint32_t> hist_out;
         uint32_t complexity = kNone;
-        /** The complexity field is also in necessary_hist. */
-        bool complexity_is_necessary = false;
         uint32_t plateau = kNone;
         /** Index into spec.event_fields of plateau_event_field. */
         uint32_t plateau_event = kNone;

@@ -29,5 +29,16 @@ Replayer::replay(const EventTrace &trace, games::Game &game)
     return profile;
 }
 
+util::Status
+Replayer::check(const EventTrace &trace, const games::Game &game)
+{
+    for (const auto &ev : trace.events) {
+        util::Status st = game.checkEvent(ev);
+        if (!st.ok())
+            return st;
+    }
+    return util::Status::Ok();
+}
+
 }  // namespace trace
 }  // namespace snip

@@ -53,9 +53,18 @@ class Replayer
     /**
      * Replay @p trace against @p game (which is reset() first so
      * the emulator reproduces the original session's state
-     * evolution) and return the full profile.
+     * evolution) and return the full profile. Every event must pass
+     * Game::checkEvent (run check() first on untrusted traces).
      */
     static Profile replay(const EventTrace &trace, games::Game &game);
+
+    /**
+     * Game::checkEvent over every event of @p trace: the first
+     * event that does not fit @p game's compiled layout, as an
+     * error.
+     */
+    static util::Status check(const EventTrace &trace,
+                              const games::Game &game);
 };
 
 }  // namespace trace

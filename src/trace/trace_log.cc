@@ -43,6 +43,10 @@ decodeFields(util::ByteReader &r,
         events::FieldValue fv;
         fv.id = r.u32();
         fv.value = r.u64();
+        if (r.ok() && i > 0 && fv.id < fields->back().id)
+            return util::Status::Errorf(
+                "field list out of order: id %u after %u", fv.id,
+                fields->back().id);
         fields->push_back(fv);
     }
     return util::Status::Ok();

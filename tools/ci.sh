@@ -18,10 +18,12 @@
 # lazily-sorted EmpiricalCdf reads + ShardedRegistry attribution,
 # including micro_train itself), run the micro_lookup hot-path smoke
 # (the binary exits non-zero if any lookup thread allocated in its
-# timed loop or the frozen and mutable layouts disagree on a single
-# decision; the JSON is additionally checked for zero allocs_per_iter
-# at every thread count of both lookup benchmarks and on the SNIP
-# online-fill dedupe path, BM_SnipObserveKnown), then fuzz the
+# timed loop, the frozen and mutable layouts disagree on a single
+# decision, or a Baseline session allocates per event; the JSON is
+# additionally checked for zero allocs_per_iter at every thread count
+# of both lookup benchmarks, on the SNIP online-fill dedupe path,
+# BM_SnipObserveKnown, and on Game::process / Game::makeEvent into
+# reused records, BM_HandlerProcess / BM_EventGeneration), then fuzz the
 # OTA model codec and the frozen "SNPF" arena with corrupt packages
 # under asan (truncations and random bit flips must be rejected
 # cleanly — no crashes, no sanitizer reports, including the mmap'd
@@ -139,7 +141,7 @@ mkdir -p build/fig_quick
 ( cd build/fig_quick && sha1sum --check --quiet \
     ../../tools/golden/fig_quick.sha1 )
 
-echo "==> micro_lookup smoke (hot-path + dedupe-path zero-alloc, frozen equivalence)"
+echo "==> micro_lookup smoke (hot-path, dedupe, process + event-gen zero-alloc, frozen equivalence)"
 ( cd build && ./bench/micro_lookup \
     --benchmark_min_time=0.05s \
     --benchmark_out=micro_lookup_ci.json \
@@ -150,11 +152,12 @@ import json, sys
 with open('build/micro_lookup_ci.json') as f:
     d = json.load(f)
 
+names = ('BM_FrozenTableLookup', 'BM_MemoTableLookup',
+         'BM_SnipObserveKnown', 'BM_HandlerProcess',
+         'BM_EventGeneration')
 gated = [b for b in d['benchmarks']
-         if 'TableLookup' in b['name'] or
-         'BM_SnipObserveKnown' in b['name']]
-for name in ('BM_FrozenTableLookup', 'BM_MemoTableLookup',
-             'BM_SnipObserveKnown'):
+         if any(n in b['name'] for n in names)]
+for name in names:
     if not any(name in b['name'] for b in gated):
         sys.exit(f'micro_lookup: {name} missing from JSON')
 bad = [(b['name'], b.get('allocs_per_iter')) for b in gated
