@@ -222,9 +222,10 @@ Game::buildSchema()
             ids.extern_in = it->second;
         }
 
-        // Compiled layout. The history reads in process()'s old
-        // append order, stably sorted by id; the complexity field is
-        // read once when it is also necessary.
+        // Compiled layout: the history reads in the order a handler
+        // makes them (necessary, complexity, scoring), stably sorted
+        // by id; the complexity field is read once when it is also
+        // necessary.
         ids.type_salt = typeSalt(spec.type);
         ids.hash_seed = fnvWord(kFnvOffset, ids.type_salt);
         auto hist_input = [&](uint32_t i, HistRole role) {
@@ -584,6 +585,7 @@ Game::process(const events::EventObject &ev, HandlerExecution &ex) const
     ex.cpu_instructions =
         static_cast<uint64_t>(spec.minstr_mean * scale * 1e6);
     ex.ip_calls.clear();
+    ex.ip_calls.reserve(spec.ip_calls.size());
     for (const auto &c : spec.ip_calls)
         ex.ip_calls.push_back({c.kind, c.work_units * scale});
     ex.memory_bytes = static_cast<uint64_t>(
