@@ -223,14 +223,22 @@ Game::buildSchema()
         }
 
         // Compiled layout: the history reads in the order a handler
-        // makes them (necessary, complexity, scoring), stably sorted
-        // by id; the complexity field is read once when it is also
-        // necessary.
+        // makes them (necessary, complexity, scoring), sorted by id;
+        // the complexity field is read once when it is also
+        // necessary. Each entry goes in after those with an equal id,
+        // which is what a stable sort of the reads gives.
         ids.type_salt = typeSalt(spec.type);
         ids.hash_seed = fnvWord(kFnvOffset, ids.type_salt);
+        ids.hist_in.reserve(ids.necessary_hist.size() + 1 +
+                            ids.scoring_hist.size());
         auto hist_input = [&](uint32_t i, HistRole role) {
-            ids.hist_in.push_back({hist[i].in_fid, hist[i].size_bytes,
-                                   role});
+            events::FieldId fid = hist[i].in_fid;
+            auto at = std::upper_bound(
+                ids.hist_in.begin(), ids.hist_in.end(), fid,
+                [](events::FieldId f, const HistInput &e) {
+                    return f < e.fid;
+                });
+            ids.hist_in.insert(at, {fid, hist[i].size_bytes, role});
         };
         for (uint32_t i : ids.necessary_hist)
             hist_input(i, HistRole::Necessary);
@@ -240,19 +248,16 @@ Game::buildSchema()
             hist_input(ids.complexity, HistRole::Complexity);
         for (uint32_t i : ids.scoring_hist)
             hist_input(i, HistRole::Scoring);
-        std::stable_sort(ids.hist_in.begin(), ids.hist_in.end(),
-                         [](const HistInput &a, const HistInput &b) {
-                             return a.fid < b.fid;
-                         });
+        ids.scoring_out.reserve(ids.scoring_hist.size());
         for (uint32_t k = 0; k < ids.scoring_hist.size(); ++k) {
             const auto &d = hist[ids.scoring_hist[k]];
-            ids.scoring_out.push_back({d.in_fid, d.out_fid, k});
+            auto at = std::upper_bound(
+                ids.scoring_out.begin(), ids.scoring_out.end(), d.out_fid,
+                [](events::FieldId f, const ScoringOutput &e) {
+                    return f < e.out_fid;
+                });
+            ids.scoring_out.insert(at, {d.in_fid, d.out_fid, k});
         }
-        std::stable_sort(ids.scoring_out.begin(), ids.scoring_out.end(),
-                         [](const ScoringOutput &a,
-                            const ScoringOutput &b) {
-                             return a.out_fid < b.out_fid;
-                         });
         ids.max_inputs = ids.hist_in.size() + spec.event_fields.size() +
                          ids.blocks.size() + 1;
         ids.max_outputs = ids.scoring_out.size() + ids.temp_out.size() + 2;
