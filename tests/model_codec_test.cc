@@ -96,6 +96,42 @@ TEST(ModelCodecTest, RoundTripIsByteIdentical)
     }
 }
 
+// Pins the whole OTA package of every game: selections, schema
+// snapshot and frozen arena bytes. Any change to Shrink, the table
+// build, the freeze layout or the envelope moves the digest. Both
+// readers must reproduce the package byte for byte.
+TEST(ModelCodecTest, GoldenPackageDigestAllGames)
+{
+    constexpr uint64_t kGolden = 0x2d78aa0d0a80b229ULL;
+    uint64_t digest = 0x9acca9eULL;
+    for (const std::string &name : games::allGameNames()) {
+        SnipModel model = buildModelFor(name, 20.0, 0x9ac6);
+        EXPECT_GT(model.tableBytes(), 0u) << name;
+        util::ByteBuffer pkg;
+        packModel(model, pkg);
+        digest = util::mixCombine(digest, pkg.size());
+        digest = util::mixCombine(
+            digest, util::crc32(pkg.data().data(), pkg.size()));
+
+        util::ByteBuffer copy = copyOf(pkg);
+        util::Result<SnipModel> back = unpackModel(copy);
+        ASSERT_TRUE(back.ok()) << name << ": "
+                               << back.status().message();
+        util::ByteBuffer repacked;
+        packModel(back.value(), repacked);
+        EXPECT_EQ(repacked.data(), pkg.data()) << name << " unpack";
+
+        auto shared = std::make_shared<util::ByteBuffer>(copyOf(pkg));
+        util::Result<SnipModel> dep = deployModel(shared);
+        ASSERT_TRUE(dep.ok()) << name << ": " << dep.status().message();
+        util::ByteBuffer redeployed;
+        packModel(dep.value(), redeployed);
+        EXPECT_EQ(redeployed.data(), pkg.data()) << name << " deploy";
+    }
+    EXPECT_EQ(digest, kGolden) << "package digest 0x" << std::hex
+                               << digest;
+}
+
 TEST(ModelCodecTest, RoundTripPreservesModelContents)
 {
     SnipModel model = buildModelFor("ab_evolution", 20.0, 99);
