@@ -54,9 +54,9 @@ main(int argc, char **argv)
                   std::to_string(fed.cost.selection_records)});
     table.addRow({"deployed table",
                   util::formatSize(static_cast<double>(
-                      central.model.table->totalBytes())),
+                      central.model.tableBytes())),
                   util::formatSize(static_cast<double>(
-                      fed.model.table->totalBytes()))});
+                      fed.model.tableBytes()))});
     table.addRow({"necessary-input bytes",
                   std::to_string(central.model.selectedBytes()),
                   std::to_string(fed.model.selectedBytes())});

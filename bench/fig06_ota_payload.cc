@@ -25,8 +25,7 @@ buildUntrimmedModel(const bench::ProfiledGame &pg)
 {
     core::SnipModel model;
     model.game = pg.game->name();
-    model.table =
-        std::make_unique<core::MemoTable>(pg.game->schema());
+    core::MemoTable table(pg.game->schema());
 
     std::vector<events::FieldId> all_inputs;
     for (const auto &d : pg.game->schema().defs())
@@ -34,7 +33,7 @@ buildUntrimmedModel(const bench::ProfiledGame &pg)
             all_inputs.push_back(d.id);
 
     for (events::EventType t : pg.profile.typesPresent()) {
-        model.table->setSelected(t, all_inputs);
+        table.setSelected(t, all_inputs);
         core::TypeModel tm;
         tm.type = t;
         tm.records = pg.profile.ofType(t).size();
@@ -45,7 +44,8 @@ buildUntrimmedModel(const bench::ProfiledGame &pg)
         model.types.push_back(std::move(tm));
     }
     for (const auto &rec : pg.profile.records)
-        model.table->insert(rec);
+        table.insert(rec);
+    model.frozen = core::FrozenTable::freeze(table);
     return model;
 }
 
@@ -79,13 +79,12 @@ main(int argc, char **argv)
         "\"wire_reduction\":%.2f}\n",
         game_name, pg.profile.records.size(),
         static_cast<unsigned long long>(trimmed_wire),
-        trimmed.table->entryCount(),
-        static_cast<unsigned long long>(trimmed.table->totalBytes()),
+        trimmed.frozen->entryCount(),
+        static_cast<unsigned long long>(trimmed.tableBytes()),
         static_cast<unsigned long long>(trimmed.selectedBytes()),
         static_cast<unsigned long long>(untrimmed_wire),
-        untrimmed.table->entryCount(),
-        static_cast<unsigned long long>(
-            untrimmed.table->totalBytes()),
+        untrimmed.frozen->entryCount(),
+        static_cast<unsigned long long>(untrimmed.tableBytes()),
         static_cast<unsigned long long>(untrimmed.selectedBytes()),
         trimmed_wire
             ? static_cast<double>(untrimmed_wire) /

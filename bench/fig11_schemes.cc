@@ -101,7 +101,7 @@ main(int argc, char **argv)
         }
         evals[i].res = core::runSession(*game, *scheme, ecfg);
         // Deployed bytes = frozen arena + online-fill overlay (the
-        // layouts actually serving lookups), not the build table.
+        // layouts actually serving lookups).
         auto *snip = dynamic_cast<core::SnipScheme *>(scheme.get());
         evals[i].table_bytes = snip ? snip->deployedTableBytes()
                                     : model.tableBytes();

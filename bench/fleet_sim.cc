@@ -154,16 +154,6 @@ parseArgs(int argc, char **argv)
     return a;
 }
 
-/** Deep copies of the upload payloads (cursor-fresh). */
-std::vector<util::ByteBuffer>
-copyUploads(const std::vector<util::ByteBuffer> &uploads)
-{
-    std::vector<util::ByteBuffer> out(uploads.size());
-    for (size_t i = 0; i < uploads.size(); ++i)
-        out[i].putBytes(uploads[i].data().data(), uploads[i].size());
-    return out;
-}
-
 /** Fresh aggregate destination with @p agreed's selections. */
 core::MemoTable
 makeDest(const games::Game &game, const core::SnipModel &agreed)
@@ -177,25 +167,25 @@ makeDest(const games::Game &game, const core::SnipModel &agreed)
 /** The serial reference: the core federated merge chain. */
 void
 serialAggregate(core::MemoTable &dest,
-                std::vector<util::ByteBuffer> &uploads)
+                const std::vector<util::ByteBuffer> &uploads)
 {
     for (size_t u = 0; u < uploads.size(); ++u) {
         util::Result<core::SnipModel> decoded =
             core::unpackModel(uploads[u]);
-        if (!decoded.ok() || !decoded.value().table) {
+        if (!decoded.ok() || !decoded.value().frozen) {
             util::warn("fleet_sim: dropping upload %zu: %s", u,
                        decoded.status().message().c_str());
             continue;
         }
-        dest.mergeFrom(*decoded.value().table);
+        dest.mergeFrom(*decoded.value().frozen);
     }
 }
 
 bool
 sameArena(const core::MemoTable &a, const core::MemoTable &b)
 {
-    auto fa = a.freeze();
-    auto fb = b.freeze();
+    auto fa = core::FrozenTable::freeze(a);
+    auto fb = core::FrozenTable::freeze(b);
     return fa->arenaSize() == fb->arenaSize() &&
            std::memcmp(fa->arenaData(), fb->arenaData(),
                        fa->arenaSize()) == 0;
@@ -266,11 +256,8 @@ main(int argc, char **argv)
                         head.status().message().c_str());
         head_crc = util::crc32(head.value()->data().data(),
                                head.value()->size());
-        util::ByteBuffer pkg;
-        pkg.putBytes(head.value()->data().data(),
-                     head.value()->size());
         util::Result<core::SnipModel> decoded =
-            core::unpackModel(pkg);
+            core::unpackModel(*head.value());
         if (!decoded.ok())
             util::fatal("fleet_sim: head decode failed: %s",
                         decoded.status().message().c_str());
@@ -287,10 +274,8 @@ main(int argc, char **argv)
                   : 0;
 
     core::MemoTable serial_dest = makeDest(*game, agreed);
-    double serial_s = wallSeconds([&] {
-        auto ups = copyUploads(uploads);
-        serialAggregate(serial_dest, ups);
-    });
+    double serial_s =
+        wallSeconds([&] { serialAggregate(serial_dest, uploads); });
 
     bool sharded_identical = true;
     double sharded_s = 0.0;
@@ -303,10 +288,8 @@ main(int argc, char **argv)
         acfg.shards = shards;
         acfg.threads = a.threads;
         acfg.obs = &obs;
-        double t = wallSeconds([&] {
-            auto ups = copyUploads(uploads);
-            fleet::aggregateUploads(dest, ups, acfg);
-        });
+        double t = wallSeconds(
+            [&] { fleet::aggregateUploads(dest, uploads, acfg); });
         if (shards == a.shards)
             sharded_s = t;
         if (!sameArena(serial_dest, dest)) {

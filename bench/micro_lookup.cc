@@ -113,7 +113,10 @@ struct Fixture {
     /** Records of a second session: new to the model's tables. */
     trace::Profile unseen;
     core::SnipModel model;
+    /** The model's arena, and the mutable table it was frozen from
+     *  (rebuilt from the profile with the model's selections). */
     std::shared_ptr<const core::FrozenTable> frozen;
+    std::unique_ptr<core::MemoTable> table;
     std::vector<events::EventObject> events;
     size_t max_selected = 0;
 
@@ -130,7 +133,12 @@ struct Fixture {
         profile = trace::Replayer::replay(res.trace, *replica);
         core::SnipConfig scfg;
         model = core::buildSnipModel(profile, *game, scfg);
-        frozen = model.table->freeze();
+        frozen = model.frozen;
+        table = std::make_unique<core::MemoTable>(game->schema());
+        for (const auto &t : model.types)
+            table->setSelected(t.type, t.selection.selected);
+        for (const auto &rec : profile.records)
+            table->insert(rec);
         events = res.trace.events;
         cfg.seed += 1;
         core::SessionResult other =
@@ -171,7 +179,7 @@ void
 BM_MemoTableLookup(benchmark::State &state)
 {
     Fixture &f = fixture();
-    const core::MemoTable &table = *f.model.table;
+    const core::MemoTable &table = *f.table;
     const games::Game &game = *f.game;
     // Pre-size the scratch to the widest selection and stride the
     // event stream by thread so threads don't walk in lockstep.
@@ -501,7 +509,7 @@ main(int argc, char **argv)
     core::LookupScratch fs = f.sizedScratch();
     uint64_t mismatches = 0;
     for (const auto &ev : f.events) {
-        core::MemoLookup mres = f.model.table->lookup(ev, *f.game, ms);
+        core::MemoLookup mres = f.table->lookup(ev, *f.game, ms);
         core::FrozenLookup fres = f.frozen->lookup(ev, *f.game, fs);
         bool same = mres.hit == fres.hit &&
                     mres.candidates == fres.candidates &&

@@ -108,7 +108,7 @@ main(int argc, char **argv)
         util::fatal("%s", st.message().c_str());
     std::printf("[cloud] OTA payload: lookup table with %zu entries "
                 "(%s wire) -> %s\n",
-                model.table->entryCount(),
+                model.frozen->entryCount(),
                 util::formatSize(static_cast<double>(
                                      core::packedModelBytes(model)))
                     .c_str(),

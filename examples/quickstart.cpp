@@ -65,8 +65,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(model.selectedBytes()),
                 static_cast<unsigned long long>(
                     game->schema().totalInputBytes()),
-                util::formatSize(static_cast<double>(
-                                     model.table->totalBytes()))
+                util::formatSize(
+                    static_cast<double>(model.tableBytes()))
                     .c_str());
 
     // 4. Evaluate with SNIP against a fresh baseline session.

@@ -272,9 +272,9 @@ cmdSelect(const Args &args)
         }
     }
     std::printf("deployable table: %zu entries, %s\n",
-                model.table->entryCount(),
+                model.frozen->entryCount(),
                 util::formatSize(static_cast<double>(
-                                     model.table->totalBytes()))
+                                     model.tableBytes()))
                     .c_str());
     return 0;
 }
@@ -516,9 +516,9 @@ cmdPack(const Args &args)
     std::printf("packed %s: %zu event types, %zu entries (%s table) "
                 "-> %s (%s on the wire)\n",
                 game->name().c_str(), model.types.size(),
-                model.table->entryCount(),
+                model.frozen->entryCount(),
                 util::formatSize(static_cast<double>(
-                                     model.table->totalBytes()))
+                                     model.tableBytes()))
                     .c_str(),
                 out.c_str(),
                 util::formatSize(static_cast<double>(
@@ -570,21 +570,19 @@ cmdInspect(const Args &args)
                         t.selection.selected_bytes),
                     static_cast<unsigned long long>(t.records),
                     100.0 * t.selection.selected_error);
-        if (m.table && !args.get("verbose").empty()) {
+        if (m.frozen && !args.get("verbose").empty()) {
             for (events::FieldId fid : t.selection.selected)
                 std::printf("      %s\n",
-                            m.table->schema().def(fid).name.c_str());
+                            m.frozen->schema().def(fid).name.c_str());
         }
     }
-    if (m.table) {
+    if (const core::FrozenTable *fz = m.frozen.get()) {
         std::printf("table: %zu entries, %s modeled on-device\n",
-                    m.table->entryCount(),
-                    util::formatSize(static_cast<double>(
-                                         m.table->totalBytes()))
+                    fz->entryCount(),
+                    util::formatSize(
+                        static_cast<double>(fz->totalBytes()))
                         .c_str());
-        // Both layouts: the mutable build table above and the flat
-        // arena the runtime actually probes.
-        auto fz = m.table->freeze();
+        // The arena as shipped: what the runtime probes.
         std::printf("frozen: %s arena, index load %.2f "
                     "(%zu entries, one probe + linear scan)\n",
                     util::formatSize(
@@ -612,8 +610,8 @@ cmdVerify(const Args &args)
     std::printf("%s: OK (%s, %zu types, %zu entries)\n", in.c_str(),
                 model.value().game.c_str(),
                 model.value().types.size(),
-                model.value().table
-                    ? model.value().table->entryCount()
+                model.value().frozen
+                    ? model.value().frozen->entryCount()
                     : 0);
     return 0;
 }
@@ -700,9 +698,7 @@ cmdFleetPublish(const Args &args)
     // The game line is read from the package itself unless pinned.
     std::string game = args.get("game");
     if (game.empty()) {
-        util::ByteBuffer probe;
-        probe.putBytes(pkg->data().data(), pkg->size());
-        util::Result<core::SnipModel> m = core::unpackModel(probe);
+        util::Result<core::SnipModel> m = core::unpackModel(*pkg);
         if (!m.ok())
             util::fatal("fleet publish: %s is not a deployable "
                         "package: %s", in.c_str(),

@@ -66,7 +66,7 @@ ContinuousLearner::run()
     for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
         obs::Span epoch_span(cfg_.obs, "epoch");
         if (epoch % cfg_.relearn_every == 0) {
-            scheme.reset();  // borrows model; drop before replacing
+            scheme.reset();  // serves the model being replaced
             SnipConfig sc = cfg_.snip;
             // Per-epoch seed remixing deliberately decorrelates PFI
             // noise across epochs; incremental mode trades that for

@@ -72,6 +72,23 @@ traceBytes(const trace::EventTrace &t)
 
 }  // namespace
 
+void
+packDeviceUpload(const std::string &game_name,
+                 const events::FieldSchema &schema,
+                 const std::vector<TypeModel> &types,
+                 const trace::Profile &profile, util::ByteBuffer &out)
+{
+    MemoTable table(schema);
+    for (const TypeModel &t : types)
+        table.setSelected(t.type, t.selection.selected);
+    for (const auto &rec : profile.records)
+        table.insert(rec);
+    SnipModel device;
+    device.game = game_name;
+    device.frozen = FrozenTable::freeze(table);
+    packModel(device, out);
+}
+
 size_t
 federatedVotesNeeded(double vote_fraction, int num_users)
 {
@@ -127,7 +144,6 @@ buildCentralized(const std::string &game_name,
     for (const auto &t : out.model.types)
         out.deployed_types.emplace_back(
             t.type, t.selection.selected.size());
-    out.model.freeze();  // deployable form for the runtime
     return out;
 }
 
@@ -161,7 +177,7 @@ buildFederated(const std::string &game_name,
         federatedVotesNeeded(cfg.vote_fraction, cfg.num_users);
 
     out.model.game = game_name;
-    out.model.table = std::make_unique<MemoTable>(game->schema());
+    MemoTable fleet(game->schema());
     std::map<events::EventType, std::map<events::FieldId, size_t>>
         votes;
     for (const auto &local : locals)
@@ -183,7 +199,7 @@ buildFederated(const std::string &game_name,
                 selected.push_back(fv.first);
         if (selected.empty())
             continue;
-        out.model.table->setSelected(tv.first, selected);
+        fleet.setSelected(tv.first, selected);
         TypeModel tm;
         tm.type = tv.first;
         tm.records = type_records[static_cast<int>(tv.first)];
@@ -201,29 +217,22 @@ buildFederated(const std::string &game_name,
     // model. A payload that fails integrity checks is dropped, not
     // fatal — that user just contributes nothing this round.
     for (int u = 0; u < cfg.num_users; ++u) {
-        SnipModel device;
-        device.game = game_name;
-        device.table = std::make_unique<MemoTable>(game->schema());
-        for (const auto &t : out.model.types)
-            device.table->setSelected(t.type, t.selection.selected);
-        for (const auto &rec : users[u].profile.records)
-            device.table->insert(rec);
-
         util::ByteBuffer payload;
-        packModel(device, payload);
+        packDeviceUpload(game_name, game->schema(), out.model.types,
+                         users[u].profile, payload);
         out.cost.uploaded_bytes += payload.size();
 
         util::Result<SnipModel> decoded = unpackModel(payload);
-        if (!decoded.ok() || !decoded.value().table) {
+        if (!decoded.ok() || !decoded.value().frozen) {
             util::warn("federated: dropping user %d upload: %s", u,
                        decoded.status().message().c_str());
             continue;
         }
-        out.model.table->mergeFrom(*decoded.value().table);
+        fleet.mergeFrom(*decoded.value().frozen);
     }
     // The merge operates on the mutable table; freeze the aggregate
-    // into its deployable form once all uploads are unioned.
-    out.model.freeze();
+    // into the model's table once all uploads are unioned.
+    out.model.frozen = FrozenTable::freeze(fleet);
     return out;
 }
 

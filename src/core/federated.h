@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/snip.h"
+#include "util/bytes.h"
 
 namespace snip {
 namespace core {
@@ -67,6 +68,18 @@ struct FederatedResult {
  * by someone); num_users <= 0 needs 0.
  */
 size_t federatedVotesNeeded(double vote_fraction, int num_users);
+
+/**
+ * One device's upload: @p profile projected onto the agreed
+ * selections @p types in a local MemoTable, frozen, and packed as an
+ * SNPM payload appended to @p out. The server decodes it and unions
+ * the arena with MemoTable::mergeFrom(const FrozenTable &).
+ */
+void packDeviceUpload(const std::string &game_name,
+                      const events::FieldSchema &schema,
+                      const std::vector<TypeModel> &types,
+                      const trace::Profile &profile,
+                      util::ByteBuffer &out);
 
 /**
  * Build a model the centralized way: merge all users' replayed

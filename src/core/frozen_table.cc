@@ -596,13 +596,17 @@ FrozenTable::visitRecords(
     const std::function<void(const games::HandlerExecution &)> &fn)
     const
 {
+    // One record reused across entries: fn() must copy what it
+    // keeps.
+    games::HandlerExecution rec;
     for (int t = 0; t < events::kNumEventTypes; ++t) {
         const TypeView &tv = types_[t];
         if (tv.nselected == 0)
             continue;
+        rec.type = static_cast<events::EventType>(t);
         for (uint32_t e = 0; e < tv.nentries; ++e) {
-            games::HandlerExecution rec;
-            rec.type = static_cast<events::EventType>(t);
+            rec.inputs.clear();
+            rec.outputs.clear();
             for (uint32_t k = tv.key_off[e]; k < tv.key_off[e + 1];
                  ++k)
                 rec.inputs.push_back(

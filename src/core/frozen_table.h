@@ -78,10 +78,11 @@ class FrozenTable
 {
   public:
     /**
-     * Build a frozen arena from a mutable build-side table. Pure and
-     * deterministic: the arena bytes are a function of the table's
-     * canonical entry order alone, so freeze(unpack(pack(m))) is
-     * byte-identical to freeze(m).
+     * Build a frozen arena from a mutable build-side table (the one
+     * freeze entry point). Pure and deterministic: the arena bytes
+     * are a function of the table's canonical entry order alone, so
+     * re-freezing a table rebuilt from an arena reproduces it byte
+     * for byte.
      */
     static std::shared_ptr<const FrozenTable>
     freeze(const MemoTable &table);
@@ -137,9 +138,12 @@ class FrozenTable
 
     /**
      * Visit every entry as a HandlerExecution (inputs = key fields,
-     * canonical id order) in global ordinal order. Re-inserting the
-     * records into a MemoTable with the same selections rebuilds
-     * the exact source table (the v1-compat / server-side path).
+     * canonical id order) in global ordinal order, which is each
+     * type's canonical order. Re-inserting the records into a
+     * MemoTable with the same selections rebuilds the exact source
+     * table; MemoTable::mergeFrom(const FrozenTable &) is built on
+     * this. The record is reused across calls: @p fn copies what it
+     * keeps.
      */
     void visitRecords(
         const std::function<void(const games::HandlerExecution &)>

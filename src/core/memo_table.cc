@@ -204,12 +204,6 @@ MemoTable::lookup(const events::EventObject &ev, uint64_t subkey,
     return res;
 }
 
-std::shared_ptr<const FrozenTable>
-MemoTable::freeze() const
-{
-    return FrozenTable::freeze(*this);
-}
-
 void
 MemoTable::visitEntries(
     events::EventType type,
@@ -240,6 +234,13 @@ MemoTable::mergeFrom(const MemoTable &other)
                 insert(rec);
             });
     }
+}
+
+void
+MemoTable::mergeFrom(const FrozenTable &other)
+{
+    other.visitRecords(
+        [&](const games::HandlerExecution &rec) { insert(rec); });
 }
 
 size_t

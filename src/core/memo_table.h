@@ -1,9 +1,12 @@
 /**
  * @file
- * The deployed SNIP lookup table (paper §V-B, "Using the lookup
+ * The mutable SNIP lookup table (paper §V-B, "Using the lookup
  * table during execution"): per event type it keeps the PFI-selected
  * necessary input fields and a set of entries mapping observed
- * necessary-input values to memoized outputs.
+ * necessary-input values to memoized outputs. It has two jobs: the
+ * build-side table (profile prefill and server-side merges, then
+ * FrozenTable::freeze() into the model's one deployed table) and the
+ * runtime online-fill overlay a SnipScheme keeps beside that arena.
  *
  * Runtime lookup follows the paper's mechanism: the table is indexed
  * by a hash of the *event-object* portion of the necessary inputs
@@ -129,7 +132,7 @@ void projectRecord(SelectedSet sel,
                    const std::vector<events::FieldValue> &inputs,
                    ProjectedKey &key);
 
-/** Per-game deployed lookup table. */
+/** Per-game mutable lookup table (build side and overlay). */
 class MemoTable
 {
   public:
@@ -200,14 +203,6 @@ class MemoTable
                       const games::Game &game, LookupScratch &scratch,
                       bool gathered) const;
 
-    /**
-     * Freeze this table into its immutable deploy-side form (a
-     * self-owning contiguous arena; see frozen_table.h). Pure and
-     * deterministic over the canonical entry order; the build-side
-     * table is unchanged.
-     */
-    std::shared_ptr<const FrozenTable> freeze() const;
-
     /** The schema copy this table is bound to. */
     const events::FieldSchema &schema() const { return schema_; }
 
@@ -216,7 +211,8 @@ class MemoTable
      * ascending event-subkey, entries in insertion order within a
      * bucket. The order is stable across serialize/deserialize
      * round-trips, which is what makes re-serialization
-     * byte-identical (model_codec.h).
+     * byte-identical (model_codec.h); FrozenTable::freeze() lays
+     * entries out in this order.
      */
     void visitEntries(
         events::EventType type,
@@ -224,12 +220,21 @@ class MemoTable
                                  const MemoEntry &entry)> &fn) const;
 
     /**
-     * Union another table's entries into this one (the server-side
-     * federated merge). Entries are re-projected onto *this* table's
+     * Union another table's entries into this one, visited in
+     * canonical order. Entries are re-projected onto *this* table's
      * selected sets; duplicate keys keep the first-seen outputs,
      * matching insert()'s append-only semantics.
      */
     void mergeFrom(const MemoTable &other);
+
+    /**
+     * Union a frozen arena's entries into this one (the server-side
+     * federated merge of a decoded upload), with the same
+     * re-projection and first-seen-wins rule. The arena holds its
+     * entries in canonical order, so this equals merging the
+     * MemoTable the arena was frozen from.
+     */
+    void mergeFrom(const FrozenTable &other);
 
     /**
      * Export table shape as `table.*` gauges (entries, payload

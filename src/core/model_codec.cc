@@ -102,17 +102,19 @@ decodeFieldIds(util::ByteReader &r,
 /** Package offset where the payload starts (after the header). */
 constexpr size_t kPayloadPackageOffset = 12;
 
+/**
+ * Encode the payload head: game name, schema snapshot, per-type
+ * selection metadata and the has-table flag. The table section
+ * follows it (see packModel()).
+ */
 void
-encodePayload(const SnipModel &model, util::ByteBuffer &buf)
+encodeHead(const SnipModel &model, util::ByteBuffer &buf)
 {
     buf.putString(model.game);
 
-    const events::FieldSchema empty;
-    const events::FieldSchema &schema =
-        model.table    ? model.table->schema()
-        : model.frozen ? model.frozen->schema()
-                       : empty;
-    encodeSchema(schema, buf);
+    encodeSchema(model.frozen ? model.frozen->schema()
+                              : events::FieldSchema(),
+                 buf);
 
     buf.putU32(static_cast<uint32_t>(model.types.size()));
     for (const auto &t : model.types) {
@@ -130,30 +132,11 @@ encodePayload(const SnipModel &model, util::ByteBuffer &buf)
             std::bit_cast<uint64_t>(t.selection.selected_hit_rate));
     }
 
-    bool has_table = model.table != nullptr || model.frozen != nullptr;
-    buf.putU8(has_table ? 1 : 0);
-    if (!has_table)
-        return;
-
-    // The v2 "SNPF" section: the frozen arena verbatim, preceded by
-    // a u32 pad length + zero pad bytes chosen so the arena starts
-    // 8-aligned *within the package* (payload begins at package
-    // offset 12). The pad is a pure function of the cursor, so
-    // re-serialization stays byte-identical.
-    std::shared_ptr<const FrozenTable> frozen =
-        model.frozen ? model.frozen : model.table->freeze();
-    size_t arena_pkg_off =
-        kPayloadPackageOffset + buf.size() + 4;  // after pad length
-    uint32_t pad =
-        static_cast<uint32_t>((8 - arena_pkg_off % 8) % 8);
-    buf.putU32(pad);
-    for (uint32_t i = 0; i < pad; ++i)
-        buf.putU8(0);
-    buf.putBytes(frozen->arenaData(), frozen->arenaSize());
+    buf.putU8(model.frozen ? 1 : 0);
 }
 
 /**
- * Decode the shared payload head: game name, schema snapshot,
+ * Decode the payload head (encodeHead()): game name, schema snapshot,
  * per-type selection metadata and the has-table flag.
  */
 util::Status
@@ -209,15 +192,15 @@ decodeMeta(util::ByteReader &r, SnipModel *model,
 /**
  * Decode the v2 "SNPF" section: pad length + zero pad + the frozen
  * arena, which must fill the payload exactly. The returned view
- * borrows the package bytes; @p owner (may be null for a transient
- * server-side read) keeps them alive.
+ * borrows the bytes of @p pkg and keeps it alive.
  */
 util::Status
-decodeArenaV2(util::ByteBuffer &buf, util::ByteReader &r,
-              size_t payload_end, const events::FieldSchema &schema,
-              std::shared_ptr<const void> owner,
+decodeArenaV2(const std::shared_ptr<util::ByteBuffer> &pkg,
+              util::ByteReader &r, size_t payload_end,
+              const events::FieldSchema &schema,
               std::shared_ptr<const FrozenTable> *out)
 {
+    util::ByteBuffer &buf = *pkg;
     uint32_t pad = r.u32();
     if (!r.ok())
         return util::Status::Error("model: truncated arena pad");
@@ -237,8 +220,7 @@ decodeArenaV2(util::ByteBuffer &buf, util::ByteReader &r,
         return util::Status::Error("model: truncated arena");
     size_t len = payload_end - buf.cursor();
     auto view = FrozenTable::attach(
-        buf.data().data() + buf.cursor(), len, std::move(owner),
-        schema);
+        buf.data().data() + buf.cursor(), len, pkg, schema);
     if (!view.ok())
         return view.status();
     r.skip(len);
@@ -246,40 +228,43 @@ decodeArenaV2(util::ByteBuffer &buf, util::ByteReader &r,
     return util::Status::Ok();
 }
 
-/**
- * Rebuild a mutable MemoTable from a validated arena view: same
- * selections, entries re-inserted in canonical order (visitRecords
- * yields them so), so freeze() of the rebuild reproduces the arena
- * byte for byte.
- */
-void
-rebuildTable(const FrozenTable &view,
-             const events::FieldSchema &schema, SnipModel *model)
-{
-    model->table = std::make_unique<MemoTable>(schema);
-    for (int t = 0; t < events::kNumEventTypes; ++t) {
-        events::EventType type = static_cast<events::EventType>(t);
-        auto selected = view.selectedVector(type);
-        if (!selected.empty())
-            model->table->setSelected(type, std::move(selected));
-    }
-    view.visitRecords([&](const games::HandlerExecution &rec) {
-        model->table->insert(rec);
-    });
-}
-
 }  // namespace
 
 void
 packModel(const SnipModel &model, util::ByteBuffer &out)
 {
-    util::ByteBuffer payload;
-    encodePayload(model, payload);
+    // Only the small head goes through a side buffer; the arena,
+    // which dominates the package, is copied into @p out once.
+    util::ByteBuffer head;
+    encodeHead(model, head);
+    size_t payload_len = head.size();
+    uint32_t pad = 0;
+    if (model.frozen) {
+        // The v2 "SNPF" section: the frozen arena verbatim, preceded
+        // by a u32 pad length + zero pad bytes chosen so the arena
+        // starts 8-aligned *within the package*. The pad is a pure
+        // function of the head size, so re-serialization stays
+        // byte-identical.
+        size_t arena_pkg_off = kPayloadPackageOffset + head.size() + 4;
+        pad = static_cast<uint32_t>((8 - arena_pkg_off % 8) % 8);
+        payload_len += 4 + pad + model.frozen->arenaSize();
+    }
+
+    out.reserve(out.size() + kPayloadPackageOffset + payload_len + 4);
     out.putU32(kModelMagic);
     out.putU32(kModelVersion);
-    out.putU32(static_cast<uint32_t>(payload.size()));
-    out.putBytes(payload.data().data(), payload.size());
-    out.putU32(util::crc32(payload.data().data(), payload.size()));
+    out.putU32(static_cast<uint32_t>(payload_len));
+    size_t payload_off = out.size();
+    out.putBytes(head.data().data(), head.size());
+    if (model.frozen) {
+        out.putU32(pad);
+        for (uint32_t i = 0; i < pad; ++i)
+            out.putU8(0);
+        out.putBytes(model.frozen->arenaData(),
+                     model.frozen->arenaSize());
+    }
+    out.putU32(util::crc32(out.data().data() + payload_off,
+                           payload_len));
 }
 
 util::Status
@@ -307,47 +292,6 @@ inspectPackage(util::ByteBuffer &buf, PackageInfo *info)
                 static_cast<uint32_t>(footer[3]) << 24;
     info->crc_ok = computed == info->crc;
     return util::Status::Ok();
-}
-
-util::Result<SnipModel>
-unpackModel(util::ByteBuffer &buf)
-{
-    PackageInfo info;
-    util::Status st = inspectPackage(buf, &info);
-    if (!st.ok())
-        return st;
-    if (info.version != kModelVersion)
-        return util::Status::Errorf(
-            "model: unsupported version %u (expected %u)",
-            info.version, kModelVersion);
-    if (!info.crc_ok)
-        return util::Status::Errorf(
-            "model: CRC mismatch (stored 0x%08x): corrupt payload",
-            info.crc);
-
-    // inspectPackage left the cursor at the payload start.
-    size_t payload_end = buf.cursor() + info.payload_bytes;
-    util::ByteReader r(buf);
-    SnipModel model;
-    events::FieldSchema schema;
-    bool has_table = false;
-    st = decodeMeta(r, &model, &schema, &has_table);
-    if (!st.ok())
-        return st;
-    if (has_table) {
-        // Server-side read: validate a transient borrowed view of the
-        // arena, then rebuild the mutable table from it.
-        std::shared_ptr<const FrozenTable> view;
-        st = decodeArenaV2(buf, r, payload_end, schema, nullptr,
-                           &view);
-        if (!st.ok())
-            return st;
-        rebuildTable(*view, schema, &model);
-    }
-    if (buf.cursor() != payload_end)
-        return util::Status::Error(
-            "model: trailing bytes in payload");
-    return model;
 }
 
 util::Result<SnipModel>
@@ -380,8 +324,7 @@ deployModel(std::shared_ptr<util::ByteBuffer> pkg)
         // Zero-copy deploy: the FrozenTable is a validated view over
         // the package bytes, kept alive by sharing ownership of the
         // buffer itself. No per-entry work, no table rebuild.
-        st = decodeArenaV2(*pkg, r, payload_end, schema, pkg,
-                           &model.frozen);
+        st = decodeArenaV2(pkg, r, payload_end, schema, &model.frozen);
         if (!st.ok())
             return st;
     }
@@ -389,6 +332,12 @@ deployModel(std::shared_ptr<util::ByteBuffer> pkg)
         return util::Status::Error(
             "model: trailing bytes in payload");
     return model;
+}
+
+util::Result<SnipModel>
+unpackModel(const util::ByteBuffer &buf)
+{
+    return deployModel(std::make_shared<util::ByteBuffer>(buf));
 }
 
 util::Status
@@ -402,11 +351,11 @@ saveModel(const SnipModel &model, const std::string &path)
 util::Result<SnipModel>
 loadModel(const std::string &path)
 {
-    util::ByteBuffer buf;
-    util::Status st = trace::loadBuffer(path, &buf);
+    auto buf = std::make_shared<util::ByteBuffer>();
+    util::Status st = trace::loadBuffer(path, buf.get());
     if (!st.ok())
         return st;
-    return unpackModel(buf);
+    return deployModel(std::move(buf));
 }
 
 uint64_t

@@ -16,10 +16,11 @@
  * deployModel() attaches a bounds-checked zero-copy FrozenTable view
  * over the package bytes, so OTA deploy costs CRC + header
  * validation instead of a per-entry rebuild. unpackModel() is the
- * server-side reader: it rebuilds a mutable MemoTable from the arena
- * (for federated merging and re-learning); freeze() of that rebuild
- * reproduces the arena byte for byte, so pack→unpack→pack is
- * byte-identical. Any other version is rejected.
+ * same decode over an owned copy of a caller's buffer; server-side
+ * unions read the attached arena with
+ * MemoTable::mergeFrom(const FrozenTable &). packModel() writes the
+ * arena verbatim, so pack→unpack→pack is byte-identical. Any other
+ * version is rejected.
  *
  * Unpacking is corruption-safe: a truncated, bit-flipped, or
  * version-mismatched package — including a malformed arena behind a
@@ -50,24 +51,23 @@ constexpr uint32_t kModelVersion = 2;
 void packModel(const SnipModel &model, util::ByteBuffer &out);
 
 /**
- * Validate (magic, version, length, CRC) and decode a package into
- * its *mutable* form: the server-side reader. Reads the whole buffer
- * from the start; the arena is rebuilt into a MemoTable. On any
- * malformed input — truncation, bit corruption, bad counts or field
- * ids, unsupported version — returns an error Status and no model.
- */
-util::Result<SnipModel> unpackModel(util::ByteBuffer &buf);
-
-/**
  * Device-side deploy: validate the envelope and attach the model's
- * table as a zero-copy FrozenTable view over the package bytes
- * (the package buffer is kept alive by the returned model's view,
- * and `model.table` stays null). Malformed input — wrong version or
- * CRC, or an arena whose offsets/ids/geometry fail validation even
- * behind a correct CRC — is rejected with an error Status.
+ * table as a zero-copy FrozenTable view over the package bytes. The
+ * view shares ownership of @p pkg, so the buffer lives as long as
+ * the model's table (or any SnipScheme built on it). Malformed
+ * input — truncation, bit corruption, bad counts or field ids, an
+ * unsupported version, or an arena whose offsets/ids/geometry fail
+ * validation even behind a correct CRC — is rejected with an error
+ * Status and no model.
  */
 util::Result<SnipModel>
 deployModel(std::shared_ptr<util::ByteBuffer> pkg);
+
+/**
+ * deployModel() over an owned copy of @p buf: for readers that do
+ * not hold their package in a shared buffer (tools, the server).
+ */
+util::Result<SnipModel> unpackModel(const util::ByteBuffer &buf);
 
 /** Shallow header/integrity summary of a package. */
 struct PackageInfo {
@@ -91,7 +91,7 @@ util::Status inspectPackage(util::ByteBuffer &buf, PackageInfo *info);
 util::Status saveModel(const SnipModel &model,
                        const std::string &path);
 
-/** Read a file and unpack; error Status on I/O or corruption. */
+/** Read a file and deploy it; error Status on I/O or corruption. */
 util::Result<SnipModel> loadModel(const std::string &path);
 
 /** Size in bytes of the packed OTA payload of @p model. */

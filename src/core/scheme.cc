@@ -68,49 +68,14 @@ MaxIpScheme::observe(const games::HandlerExecution &)
     }
 }
 
-namespace {
-
-/** Freeze the model (idempotent) and hand back the shared arena. */
-std::shared_ptr<const FrozenTable>
-frozenOf(SnipModel &model)
-{
-    if (!model.table && !model.frozen)
-        util::fatal("SnipScheme: model has no table");
-    model.freeze();
-    return model.frozen;
-}
-
-/** Const models must already be deployable (frozen set). */
-std::shared_ptr<const FrozenTable>
-frozenOf(const SnipModel &model)
-{
-    if (!model.frozen)
-        util::fatal("SnipScheme: const model is not frozen "
-                    "(call freeze() before constructing)");
-    return model.frozen;
-}
-
-}  // namespace
-
-SnipScheme::SnipScheme(SnipModel &model, SnipRuntimeConfig cfg,
-                       bool charge_overheads)
-    : model_(model), cfg_(cfg), chargeOverheads_(charge_overheads),
-      frozen_(frozenOf(model)), overlay_(frozen_->schema())
-{
-    initRuntime();
-}
-
 SnipScheme::SnipScheme(const SnipModel &model, SnipRuntimeConfig cfg,
                        bool charge_overheads)
-    : model_(model), cfg_(cfg), chargeOverheads_(charge_overheads),
-      frozen_(frozenOf(model)), overlay_(frozen_->schema())
+    : cfg_(cfg), chargeOverheads_(charge_overheads),
+      frozen_(model.frozen),
+      overlay_(frozen_ ? frozen_->schema() : events::FieldSchema())
 {
-    initRuntime();
-}
-
-void
-SnipScheme::initRuntime()
-{
+    if (!frozen_)
+        util::fatal("SnipScheme: model has no table");
     for (int t = 0; t < events::kNumEventTypes; ++t) {
         events::EventType type = static_cast<events::EventType>(t);
         auto selected = frozen_->selectedVector(type);
@@ -245,25 +210,22 @@ SnipScheme::observe(const games::HandlerExecution &truth)
             windowFailures_ = 0;
         }
     }
-    if (cfg_.online_fill) {
-        // Entries the frozen table already memoizes would be
-        // deduplicated by the old single-table insert; skip them so
-        // the overlay holds only genuinely new observations. One
-        // projection serves both layouts (same selections). The
-        // counter tracks actual overlay growth — a skipped or
-        // deduplicated insert is not an online insert.
-        SelectedSet sel = frozen_->selectedSet(truth.type);
-        if (sel.size == 0)
-            return;  // type not deployed
-        projectRecord(sel, truth.inputs, observedKey_);
-        bool in_frozen = frozenActive_ &&
-                         frozen_->contains(truth.type, observedKey_);
-        if (!in_frozen &&
-            overlay_.insertKey(truth.type, observedKey_,
-                               truth.outputs) &&
-            obsOnlineInserts_)
-            obsOnlineInserts_->add(1);
-    }
+    // Online fill. Entries the frozen table already memoizes would
+    // be deduplicated by the old single-table insert; skip them so
+    // the overlay holds only genuinely new observations. One
+    // projection serves both layouts (same selections). The counter
+    // tracks actual overlay growth — a skipped or deduplicated
+    // insert is not an online insert.
+    SelectedSet sel = frozen_->selectedSet(truth.type);
+    if (sel.size == 0)
+        return;  // type not deployed
+    projectRecord(sel, truth.inputs, observedKey_);
+    bool in_frozen =
+        frozenActive_ && frozen_->contains(truth.type, observedKey_);
+    if (!in_frozen &&
+        overlay_.insertKey(truth.type, observedKey_, truth.outputs) &&
+        obsOnlineInserts_)
+        obsOnlineInserts_->add(1);
 }
 
 uint64_t
@@ -287,7 +249,7 @@ SnipScheme::recordTableStats(obs::Registry &reg) const
 }
 
 std::unique_ptr<Scheme>
-makeScheme(SchemeKind kind, SnipModel *model)
+makeScheme(SchemeKind kind, const SnipModel *model)
 {
     switch (kind) {
       case SchemeKind::Baseline:

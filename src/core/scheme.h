@@ -173,12 +173,6 @@ class MaxIpScheme : public Scheme
 /** SNIP runtime knobs. */
 struct SnipRuntimeConfig {
     /**
-     * Whether fully processed events are inserted into the table at
-     * runtime (device-side table growth between cloud re-learns).
-     */
-    bool online_fill = true;
-
-    /**
      * Audit watchdog (paper §VII-B future extension: "clear the PFI
      * lookup table if it detects the error rate to worsen"). Every
      * N-th would-be short-circuit is processed fully anyway and the
@@ -206,12 +200,13 @@ struct SnipRuntimeConfig {
 /**
  * SNIP: end-to-end short-circuiting via the deployed table.
  *
- * The scheme serves lookups from the model's immutable FrozenTable
- * (freezing the mutable table on construction if the model was not
- * already frozen). Online fill goes into a small per-scheme mutable
- * *overlay* MemoTable with the same selections, consulted only on a
- * frozen miss — the frozen arena itself is never mutated, so it can
- * be shared across sessions and threads. Hit accounting lives in a
+ * The scheme serves lookups from the model's immutable FrozenTable,
+ * whose ownership it shares. Every fully processed event is
+ * inserted (online fill, the device-side table growth between cloud
+ * re-learns) into a small per-scheme mutable *overlay* MemoTable
+ * with the same selections, consulted only on a frozen miss — the
+ * frozen arena itself is never mutated, so it can be shared across
+ * sessions and threads. Hit accounting lives in a
  * scheme-owned dense counter array indexed by frozen entry ordinal
  * (race-free by construction; the arena has no mutable hit field).
  * The watchdog's "clear the table" action deactivates the frozen
@@ -221,19 +216,11 @@ class SnipScheme : public Scheme
 {
   public:
     /**
-     * @param model Deployed model (borrowed; must outlive this).
-     *        Must have a table in at least one layout; freeze() is
-     *        called on it, so `model.frozen` is set on return.
+     * @param model Deployed model; must carry a table (fatal()
+     *        otherwise). The scheme shares ownership of the model's
+     *        arena and keeps nothing else of it, so the model may be
+     *        destroyed while the scheme runs.
      * @param charge_overheads False builds the No-Overheads bound.
-     */
-    SnipScheme(SnipModel &model, SnipRuntimeConfig cfg = {},
-               bool charge_overheads = true);
-
-    /**
-     * Const overload for models already in deployable form: @p model
-     * must have `frozen` set (freeze() it first, or deployModel()
-     * did) — a scheme never mutates a const model, so an unfrozen
-     * one is a fatal() usage error, not a silent freeze.
      */
     SnipScheme(const SnipModel &model, SnipRuntimeConfig cfg = {},
                bool charge_overheads = true);
@@ -272,7 +259,6 @@ class SnipScheme : public Scheme
     uint64_t tableClears() const { return tableClears_; }
 
   private:
-    const SnipModel &model_;
     SnipRuntimeConfig cfg_;
     bool chargeOverheads_;
 
@@ -306,14 +292,11 @@ class SnipScheme : public Scheme
     /** observe()'s projection of the record, shared by the frozen
      *  duplicate check and the overlay insert; reused per event. */
     ProjectedKey observedKey_;
-
-    /** Shared ctor tail: overlay selections, hit counters, obs. */
-    void initRuntime();
 };
 
 /** Construct a scheme by kind (Snip/NoOverheads need a model). */
 std::unique_ptr<Scheme> makeScheme(SchemeKind kind,
-                                   SnipModel *model = nullptr);
+                                   const SnipModel *model = nullptr);
 
 }  // namespace core
 }  // namespace snip

@@ -114,6 +114,17 @@ resolveForced(const games::Game &game, const SnipConfig &cfg)
     return forced;
 }
 
+/** Freeze the pre-filled build table into @p model (and export its
+ *  gauges first when obs is on). */
+void
+freezeInto(const MemoTable &table, const SnipConfig &cfg,
+           SnipModel &model)
+{
+    if (cfg.obs)
+        table.recordStats(*cfg.obs);
+    model.frozen = FrozenTable::freeze(table);
+}
+
 }  // namespace
 
 uint64_t
@@ -126,30 +137,16 @@ SnipModel::selectedBytes() const
 }
 
 void
-SnipModel::freeze()
+SnipModel::freeze() const
 {
-    if (frozen)
-        return;
-    if (!table)
+    if (!frozen)
         util::panic("SnipModel::freeze: model has no table");
-    frozen = table->freeze();
 }
 
 uint64_t
 SnipModel::tableBytes() const
 {
-    if (frozen)
-        return frozen->totalBytes();
-    return table ? table->totalBytes() : 0;
-}
-
-void
-SnipModel::recordTableStats(obs::Registry &reg) const
-{
-    if (frozen)
-        frozen->recordStats(reg);
-    else if (table)
-        table->recordStats(reg);
+    return frozen ? frozen->totalBytes() : 0;
 }
 
 SnipModel
@@ -158,7 +155,7 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
 {
     SnipModel model;
     model.game = profile.game;
-    model.table = std::make_unique<MemoTable>(game.schema());
+    MemoTable table(game.schema());
     obs::Span shrink_span(cfg.obs, "shrink");
 
     std::vector<events::FieldId> forced = resolveForced(game, cfg);
@@ -175,7 +172,7 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
         }
         ml::Dataset ds(std::move(records), game.schema());
         TypeModel tm = selectForType(ds, t, cfg, forced);
-        model.table->setSelected(t, tm.selection.selected);
+        table.setSelected(t, tm.selection.selected);
         model.types.push_back(std::move(tm));
         if (cfg.obs)
             cfg.obs->counter("shrink.types_deployed").add(1);
@@ -183,9 +180,8 @@ buildSnipModel(const trace::Profile &profile, const games::Game &game,
 
     // Pre-fill the table from the profile (the OTA payload).
     for (const auto &rec : profile.records)
-        model.table->insert(rec);
-    if (cfg.obs)
-        model.table->recordStats(*cfg.obs);
+        table.insert(rec);
+    freezeInto(table, cfg, model);
     return model;
 }
 
@@ -204,7 +200,7 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
 
     SnipModel model;
     model.game = tlog->game();
-    model.table = std::make_unique<MemoTable>(game.schema());
+    MemoTable table(game.schema());
     obs::Span shrink_span(cfg.obs, "shrink");
 
     std::vector<events::FieldId> forced = resolveForced(game, cfg);
@@ -229,7 +225,7 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
             continue;
         }
         TypeModel tm = selectForType(ds, t, cfg, forced);
-        model.table->setSelected(t, tm.selection.selected);
+        table.setSelected(t, tm.selection.selected);
         model.types.push_back(std::move(tm));
         if (cfg.obs)
             cfg.obs->counter("shrink.types_deployed").add(1);
@@ -244,13 +240,12 @@ buildSnipModel(std::shared_ptr<const trace::ColumnarLog> tlog,
         size_t row_bytes = (view->numFeatures() + 2) * 8;
         for (size_t row = 0; row < view->numRows(); ++row) {
             view->materializeRecord(row, &rec);
-            model.table->insert(rec);
+            table.insert(rec);
             if ((row + 1) % blk == 0)
                 view->noteStreamed(blk * row_bytes);
         }
     }
-    if (cfg.obs)
-        model.table->recordStats(*cfg.obs);
+    freezeInto(table, cfg, model);
     return util::Result<SnipModel>(std::move(model));
 }
 

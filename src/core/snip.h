@@ -27,12 +27,6 @@ namespace core {
 struct DeveloperOverrides {
     /** Field names that must stay in the necessary set. */
     std::vector<std::string> force_keep;
-    /**
-     * Field names whose erroneous short-circuiting the developer
-     * marked tolerable (Out.Temp-like). Reserved for error-budget
-     * accounting in reports.
-     */
-    std::vector<std::string> tolerate_errors;
 };
 
 struct ShrinkCaches;
@@ -104,17 +98,16 @@ struct ShrinkCaches {
     std::array<TypeCache, events::kNumEventTypes> types{};
 };
 
-/** The deployable artifact: selections + initial table. */
+/** The deployable artifact: selections + the frozen table. */
 struct SnipModel {
     std::string game;
     std::vector<TypeModel> types;
-    /** Mutable build-side table pre-filled from the profile (null on
-     *  a device that deployed a zero-copy v2 package). */
-    std::unique_ptr<MemoTable> table;
     /**
-     * Immutable deploy-side form (frozen_table.h). Set by freeze(),
-     * or directly by deployModel() when a v2 package is attached
-     * zero-copy. The runtime (SnipScheme) looks up against this.
+     * The model's one lookup table, in its immutable deploy-side
+     * form (frozen_table.h): frozen by buildSnipModel(), or attached
+     * zero-copy over the package bytes by deployModel(). Shared, so
+     * a SnipScheme built on it keeps the arena alive on its own.
+     * Null only for a package that carries no table.
      */
     std::shared_ptr<const FrozenTable> frozen;
 
@@ -122,29 +115,23 @@ struct SnipModel {
     uint64_t selectedBytes() const;
 
     /**
-     * Ensure `frozen` is populated (idempotent): freezes `table`
-     * when a frozen form is not already attached. Panics if the
-     * model has neither.
+     * Check that the model carries its table; panics if it does
+     * not. Every producer already freezes, so this changes nothing.
      */
-    void freeze();
+    void freeze() const;
 
-    /** Whether a lookup table is deployed in either layout. */
-    bool deployed() const { return table != nullptr || frozen != nullptr; }
+    /** Whether a lookup table is deployed. */
+    bool deployed() const { return frozen != nullptr; }
 
-    /** Deployed-table payload bytes (frozen arena preferred). */
+    /** Deployed-table payload bytes (0 without a table). */
     uint64_t tableBytes() const;
-
-    /**
-     * Export `table.*` gauges for whichever layout the runtime
-     * would serve lookups from (frozen when present).
-     */
-    void recordTableStats(obs::Registry &reg) const;
 };
 
 /**
- * Run PFI selection per event type on @p profile and build the
- * deployable table. @p game supplies the schema and (for override
- * name resolution) the field registry.
+ * Run PFI selection per event type on @p profile, pre-fill a
+ * build-side MemoTable from it and freeze that into the model's
+ * table. @p game supplies the schema and (for override name
+ * resolution) the field registry.
  */
 SnipModel buildSnipModel(const trace::Profile &profile,
                          const games::Game &game,

@@ -14,7 +14,7 @@ namespace fleet {
 
 AggregateStats
 aggregateUploads(core::MemoTable &dest,
-                 std::span<util::ByteBuffer> uploads,
+                 std::span<const util::ByteBuffer> uploads,
                  const AggregateConfig &cfg)
 {
     AggregateStats stats;
@@ -26,20 +26,20 @@ aggregateUploads(core::MemoTable &dest,
     // A payload that fails integrity checks is dropped, exactly as
     // the serial chain drops it — that device just contributes
     // nothing this round.
-    std::vector<std::unique_ptr<core::MemoTable>> decoded(
+    std::vector<std::shared_ptr<const core::FrozenTable>> decoded(
         uploads.size());
     util::parallelFor(
         uploads.size(),
         [&](size_t u) {
             util::Result<core::SnipModel> res =
                 core::unpackModel(uploads[u]);
-            if (!res.ok() || !res.value().table) {
+            if (!res.ok() || !res.value().frozen) {
                 util::warn("fleet: dropping upload %zu: %s", u,
                            res.ok() ? "no table in payload"
                                     : res.status().message().c_str());
                 return;
             }
-            decoded[u] = std::move(res.value().table);
+            decoded[u] = std::move(res.value().frozen);
         },
         cfg.threads);
     for (const auto &t : decoded)

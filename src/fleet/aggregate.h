@@ -1,22 +1,23 @@
 /**
  * @file
  * Sharded federated aggregation. The core federated backend merges N
- * per-device upload payloads through one serial MemoTable::mergeFrom
- * chain; at fleet scale that chain is the backend's critical path.
- * This layer partitions the uploads into K contiguous shards, unions
- * each shard into its own MemoTable in parallel (util::parallelFor),
- * then merges the shard tables tree-wise (adjacent pairs per level,
- * left-to-right order preserved).
+ * per-device upload payloads through one serial chain of
+ * MemoTable::mergeFrom(const FrozenTable &) calls, one per decoded
+ * upload arena; at fleet scale that chain is the backend's critical
+ * path. This layer partitions the uploads into K contiguous shards,
+ * unions each shard into its own MemoTable in parallel
+ * (util::parallelFor), then merges the shard tables tree-wise
+ * (adjacent pairs per level, left-to-right order preserved).
  *
  * Equivalence contract: the aggregate is *bitwise identical* (frozen
  * arena bytes) to the serial chain at any shard count. The argument:
- * mergeFrom visits entries in the canonical visitEntries order and
- * inserts first-seen-wins, i.e. each bucket's entry list is the
+ * both mergeFrom overloads visit entries in canonical order and
+ * insert first-seen-wins, i.e. each bucket's entry list is the
  * order-preserving dedup of the concatenated upload entry streams —
  * and dedup(concat(dedup(A), dedup(B))) == dedup(concat(A, B)), so
  * any merge tree that preserves the uploads' left-to-right order
- * yields the same canonical entry order, and freeze() is a pure
- * function of that order. tests/fleet_test.cc enforces this at shard
+ * yields the same canonical entry order, and FrozenTable::freeze()
+ * is a pure function of that order. tests/fleet_test.cc enforces this at shard
  * counts {1, 2, 8}.
  *
  * Corrupt uploads are dropped exactly as the serial chain drops
@@ -64,11 +65,11 @@ struct AggregateStats {
  * Decode the serialized per-device upload payloads (SNPM packages,
  * as produced by the federated device loop) and union their tables
  * into @p dest. @p dest's selected sets drive the re-projection,
- * exactly as in the serial chain; @p uploads are read with a cursor,
- * hence the mutable span. Returns what was consumed/dropped.
+ * exactly as in the serial chain. Returns what was
+ * consumed/dropped.
  */
 AggregateStats aggregateUploads(core::MemoTable &dest,
-                                std::span<util::ByteBuffer> uploads,
+                                std::span<const util::ByteBuffer> uploads,
                                 const AggregateConfig &cfg = {});
 
 }  // namespace fleet

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/federated.h"
 #include "core/model_codec.h"
 #include "core/simulation.h"
 #include "fleet/delta.h"
@@ -203,16 +204,9 @@ recordUploadPayloads(const std::string &game_name,
             trace::Profile profile =
                 trace::Replayer::replay(res.trace, *replica);
 
-            core::SnipModel device;
-            device.game = game_name;
-            device.table =
-                std::make_unique<core::MemoTable>(game->schema());
-            for (const core::TypeModel &t : agreed.types)
-                device.table->setSelected(t.type,
-                                          t.selection.selected);
-            for (const auto &rec : profile.records)
-                device.table->insert(rec);
-            core::packModel(device, payloads[u]);
+            core::packDeviceUpload(game_name, game->schema(),
+                                   agreed.types, profile,
+                                   payloads[u]);
         },
         threads);
     return payloads;

@@ -111,10 +111,10 @@ util::Result<EpochPushReport> pushEpoch(ModelRegistry &reg,
 /**
  * Produce @p count per-device upload payloads for the aggregation
  * half of an epoch: each simulated device plays a short seeded
- * session, replays it locally, projects the profile onto
- * @p agreed's selected sets, and packs its table as an SNPM payload
- * — the exact payload shape core::buildFederated's device loop
- * uploads. Devices are independent, so they record in parallel.
+ * session, replays it locally, and packs it with
+ * core::packDeviceUpload onto @p agreed's selected sets — the
+ * payload core::buildFederated's device loop uploads. Devices are
+ * independent, so they record in parallel.
  */
 std::vector<util::ByteBuffer>
 recordUploadPayloads(const std::string &game_name,

@@ -51,6 +51,8 @@ class ByteBuffer
     void putString(const std::string &s);
     /** Append a raw byte range (no length prefix). */
     void putBytes(const void *data, size_t len);
+    /** Make room for @p n bytes in total without reallocating. */
+    void reserve(size_t n) { data_.reserve(n); }
 
     /** Read back (cursor-based); panics on underrun. */
     uint8_t getU8();

@@ -239,7 +239,7 @@ TEST_F(MemoTableTest, ConstLookupHitsFlowViaCallerOwnedOrdinals)
     MemoLookup res = ct.lookup(last_event_, *game_, scratch);
     ASSERT_TRUE(res.hit);
 
-    auto frozen = ct.freeze();
+    auto frozen = FrozenTable::freeze(ct);
     std::vector<uint64_t> hit_counts(frozen->entryCount(), 0);
     FrozenLookup fres = frozen->lookup(last_event_, *game_, scratch);
     ASSERT_TRUE(fres.hit);
@@ -279,7 +279,7 @@ TEST_F(MemoTableTest, UnsortedInsertKeepsAllKeyFields)
 
     // An unsorted record projects onto the key the frozen table
     // holds.
-    auto frozen = table_->freeze();
+    auto frozen = FrozenTable::freeze(*table_);
     const auto sel = frozen->selectedSet(reversed.type);
     ProjectedKey key;
     projectRecord(sel, reversed.inputs, key);
@@ -446,6 +446,54 @@ TEST_F(MemoTableTest, MergeFromUnionsEntries)
     EXPECT_EQ(dup.entry->outputs, shared.outputs);
 }
 
+// Merging a frozen arena must equal merging the MemoTable it was
+// frozen from: the same entries in the same canonical order, so the
+// re-frozen arenas are byte-identical. The source selects more
+// fields than the destination, so re-projection narrows its keys
+// and first-wins dedup collapses some of them.
+TEST_F(MemoTableTest, MergeFromFrozenMatchesMergeFromSource)
+{
+    std::vector<events::FieldId> wider = selected_;
+    for (const auto &d : game_->schema().defs()) {
+        if (wider.size() >= selected_.size() + 3)
+            break;
+        if (d.side == events::FieldSide::Input &&
+            std::find(wider.begin(), wider.end(), d.id) ==
+                wider.end())
+            wider.push_back(d.id);
+    }
+    ASSERT_GT(wider.size(), selected_.size());
+
+    util::Rng rng(14);
+    MemoTable source(game_->schema());
+    source.setSelected(events::EventType::Touch, wider);
+    MemoTable via_table(game_->schema());
+    MemoTable via_arena(game_->schema());
+    via_table.setSelected(events::EventType::Touch, selected_);
+    via_arena.setSelected(events::EventType::Touch, selected_);
+    for (int i = 0; i < 300; ++i) {
+        games::HandlerExecution ex = nextExecution(rng);
+        source.insert(ex);
+        if (i % 4 == 0) {  // entries both sides already hold
+            via_table.insert(ex);
+            via_arena.insert(ex);
+        }
+    }
+    size_t before = via_table.entryCount();
+
+    via_table.mergeFrom(source);
+    via_arena.mergeFrom(*FrozenTable::freeze(source));
+    EXPECT_GT(via_table.entryCount(), before);
+    EXPECT_EQ(via_arena.entryCount(), via_table.entryCount());
+    EXPECT_EQ(via_arena.totalBytes(), via_table.totalBytes());
+    auto a = FrozenTable::freeze(via_table);
+    auto b = FrozenTable::freeze(via_arena);
+    ASSERT_EQ(a->arenaSize(), b->arenaSize());
+    EXPECT_EQ(std::memcmp(a->arenaData(), b->arenaData(),
+                          a->arenaSize()),
+              0);
+}
+
 // -------------------------------------------------------- FrozenTable
 
 // The deployed flat arena must make exactly the decisions of the
@@ -460,7 +508,7 @@ TEST_F(MemoTableTest, FrozenEquivalenceOverRandomEvents)
         table_->insert(nextExecution(rng));
         seen.push_back(last_event_);
     }
-    auto frozen = table_->freeze();
+    auto frozen = FrozenTable::freeze(*table_);
     ASSERT_EQ(frozen->entryCount(), table_->entryCount());
     ASSERT_EQ(frozen->totalBytes(), table_->totalBytes());
 
@@ -504,7 +552,7 @@ TEST_F(MemoTableTest, FrozenArenaAttachRoundTrip)
         table_->insert(nextExecution(rng));
         seen.push_back(last_event_);
     }
-    auto frozen = table_->freeze();
+    auto frozen = FrozenTable::freeze(*table_);
     EXPECT_FALSE(frozen->zeroCopy());  // freeze() owns its arena
 
     auto bytes = std::make_shared<std::vector<uint64_t>>(
@@ -553,7 +601,7 @@ TEST_F(MemoTableTest, FrozenArenaCorruptionFuzz)
         table_->insert(nextExecution(rng));
         seen.push_back(last_event_);
     }
-    auto frozen = table_->freeze();
+    auto frozen = FrozenTable::freeze(*table_);
     size_t n = frozen->arenaSize();
     ASSERT_GT(n, 32u);
 
@@ -656,8 +704,8 @@ TEST_F(AnalysisTest, BuildModelSelectsPerType)
     SnipModel model = buildSnipModel(profile_, *game_);
     EXPECT_EQ(model.game, "ab_evolution");
     EXPECT_GE(model.types.size(), 2u);
-    ASSERT_NE(model.table, nullptr);
-    EXPECT_GT(model.table->entryCount(), 10u);
+    ASSERT_NE(model.frozen, nullptr);
+    EXPECT_GT(model.frozen->entryCount(), 10u);
     EXPECT_GT(model.selectedBytes(), 0u);
     // Selected sets must be small relative to the full record.
     EXPECT_LT(model.selectedBytes(),
@@ -697,7 +745,7 @@ TEST_F(AnalysisTest, SparseTypesLeftUndeployed)
     cfg.min_records_per_type = 1u << 30;
     SnipModel model = buildSnipModel(profile_, *game_, cfg);
     EXPECT_TRUE(model.types.empty());
-    EXPECT_EQ(model.table->entryCount(), 0u);
+    EXPECT_EQ(model.frozen->entryCount(), 0u);
 }
 
 // ------------------------------------------------------------ Schemes
@@ -773,10 +821,11 @@ TEST(Schemes, SnipHitsAfterObserve)
     // Empty-profile model with ground-truth selection.
     SnipModel model;
     model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
+    MemoTable table(game->schema());
+    table.setSelected(
         events::EventType::Touch,
         game->necessaryInputIds(events::EventType::Touch));
+    model.frozen = FrozenTable::freeze(table);
 
     SnipScheme s(model);
     util::Rng rng(4);
@@ -797,10 +846,11 @@ TEST(Schemes, NoOverheadsVariant)
     auto game = games::makeGame("colorphun");
     SnipModel model;
     model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
+    MemoTable table(game->schema());
+    table.setSelected(
         events::EventType::Touch,
         game->necessaryInputIds(events::EventType::Touch));
+    model.frozen = FrozenTable::freeze(table);
     auto s = makeScheme(SchemeKind::NoOverheads, &model);
     EXPECT_EQ(s->kind(), SchemeKind::NoOverheads);
     util::Rng rng(5);
@@ -836,10 +886,11 @@ TEST(Schemes, OverlayFallbackLookupBytesNoUnderflow)
     auto game = games::makeGame("colorphun");
     SnipModel model;
     model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
+    MemoTable table(game->schema());
+    table.setSelected(
         events::EventType::Touch,
         game->necessaryInputIds(events::EventType::Touch));
+    model.frozen = FrozenTable::freeze(table);
 
     SnipScheme s(model);
     util::Rng rng(21);
@@ -891,7 +942,7 @@ TEST(Schemes, DecideBatchMatchesScalarFuzz)
     SnipConfig scfg;
     scfg.min_records_per_type = 8;
     SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_NE(model.table, nullptr);
+    ASSERT_NE(model.frozen, nullptr);
 
     // Tile the recorded stream to 10k events (duplicates are what
     // make the hit/audit paths fire); the game keeps its
@@ -909,7 +960,6 @@ TEST(Schemes, DecideBatchMatchesScalarFuzz)
     }
 
     SnipRuntimeConfig rcfg;
-    rcfg.online_fill = true;
     rcfg.audit_every = 4;
     SnipScheme scalar(model, rcfg);
     SnipScheme batched(model, rcfg);
@@ -1055,8 +1105,7 @@ class ReferenceSnip
                 windowFailures_ = 0;
             }
         }
-        if (cfg_.online_fill &&
-            (!frozenActive_ || !frozenKeys_.count(keyOf(truth))))
+        if (!frozenActive_ || !frozenKeys_.count(keyOf(truth)))
             overlay_.insert(truth);
     }
 
@@ -1131,11 +1180,9 @@ TEST(Schemes, SnipMatchesReferenceOverlayFuzz)
     scfg.min_records_per_type = 8;
     SnipModel model =
         buildSnipModel(profile.truncated(kPeriod / 2), *game, scfg);
-    ASSERT_NE(model.table, nullptr);
-    model.freeze();
+    ASSERT_NE(model.frozen, nullptr);
 
     SnipRuntimeConfig rcfg;
-    rcfg.online_fill = true;
     rcfg.audit_every = 4;
     rcfg.audit_window = 32;
     rcfg.audit_clear_threshold = 0.0;
@@ -1281,7 +1328,7 @@ TEST(Simulation, BatchedSessionBitwiseIdentical)
     SnipConfig scfg;
     scfg.min_records_per_type = 8;
     SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_NE(model.table, nullptr);
+    ASSERT_NE(model.frozen, nullptr);
 
     auto runWith = [&](uint32_t block) {
         SnipRuntimeConfig rcfg;
@@ -1354,7 +1401,7 @@ TEST(Simulation, ObsCountersMatchSessionStats)
     SnipConfig scfg;
     scfg.min_records_per_type = 8;
     SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_NE(model.table, nullptr);
+    ASSERT_NE(model.frozen, nullptr);
 
     obs::Registry reg;
     SnipRuntimeConfig rcfg;
@@ -1497,16 +1544,15 @@ TEST(Simulation, GoldenDigestAllGamesAllSchemes)
             game->params().recommended_overrides;
         SnipModel model = buildSnipModel(profile, *game, scfg);
         d.add(name);
-        d.add(static_cast<uint64_t>(model.table != nullptr));
-        if (!model.table)
+        d.add(static_cast<uint64_t>(model.deployed()));
+        if (!model.deployed())
             continue;
 
         SimulationConfig ecfg;
         ecfg.duration_s = 20.0;
         ecfg.seed = 0x601d;
         SnipRuntimeConfig rcfg;
-        rcfg.online_fill = true;
-        rcfg.audit_every = 8;
+            rcfg.audit_every = 8;
         rcfg.audit_window = 8;
         for (SchemeKind k :
              {SchemeKind::Baseline, SchemeKind::MaxCpu,

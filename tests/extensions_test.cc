@@ -76,13 +76,14 @@ brokenModel(games::Game &game)
 {
     SnipModel model;
     model.game = game.name();
-    model.table = std::make_unique<MemoTable>(game.schema());
     std::vector<events::FieldId> only_zone;
     const auto &spec = game.handler(events::EventType::Touch);
     for (const auto &efs : spec.event_fields)
         if (efs.necessary)
             only_zone.push_back(efs.fid);
-    model.table->setSelected(events::EventType::Touch, only_zone);
+    MemoTable table(game.schema());
+    table.setSelected(events::EventType::Touch, only_zone);
+    model.frozen = FrozenTable::freeze(table);
     return model;
 }
 
@@ -110,10 +111,11 @@ TEST(Watchdog, HealthyTableNeverCleared)
     auto game = games::makeGame("colorphun");
     SnipModel model;
     model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
+    MemoTable table(game->schema());
+    table.setSelected(
         events::EventType::Touch,
         game->necessaryInputIds(events::EventType::Touch));
+    model.frozen = FrozenTable::freeze(table);
     SnipRuntimeConfig rcfg;
     rcfg.audit_every = 4;
     rcfg.audit_window = 8;
@@ -133,10 +135,11 @@ TEST(Watchdog, AuditedEventsAreNotShortcircuited)
     auto game = games::makeGame("colorphun");
     SnipModel model;
     model.game = game->name();
-    model.table = std::make_unique<MemoTable>(game->schema());
-    model.table->setSelected(
+    MemoTable table(game->schema());
+    table.setSelected(
         events::EventType::Touch,
         game->necessaryInputIds(events::EventType::Touch));
+    model.frozen = FrozenTable::freeze(table);
     SnipRuntimeConfig audit_on, audit_off;
     audit_on.audit_every = 2;  // every other hit audited
     SnipScheme with(model, audit_on);
@@ -144,13 +147,7 @@ TEST(Watchdog, AuditedEventsAreNotShortcircuited)
     cfg.duration_s = 60.0;
     SessionResult r_with = runSession(*game, with, cfg);
 
-    SnipModel model2;
-    model2.game = game->name();
-    model2.table = std::make_unique<MemoTable>(game->schema());
-    model2.table->setSelected(
-        events::EventType::Touch,
-        game->necessaryInputIds(events::EventType::Touch));
-    SnipScheme without(model2, audit_off);
+    SnipScheme without(model, audit_off);
     SessionResult r_without = runSession(*game, without, cfg);
 
     // Auditing halves the effective short-circuits (same stream).
@@ -236,8 +233,8 @@ TEST(Federated, VotesNeededExactCeiling)
 
 TEST(Federated, EvaluateModelTakesConstModel)
 {
-    // evaluateModel must accept a const (already frozen) model; the
-    // SnipScheme const overload serves lookups without freezing.
+    // evaluateModel must accept a const model; SnipScheme only
+    // shares the model's arena.
     FederatedConfig cfg;
     cfg.num_users = 2;
     cfg.session_s = 45.0;

@@ -46,6 +46,44 @@ copyOf(const util::ByteBuffer &src)
     return out;
 }
 
+/**
+ * The serial merge chain as it ran when unpackModel() rebuilt a
+ * MemoTable: rebuild one from the decoded arena (its selections,
+ * then every record in canonical order) and merge that table. Kept
+ * as the reference for MemoTable::mergeFrom(const FrozenTable &).
+ */
+void
+mergeRebuilt(core::MemoTable &dest, const core::FrozenTable &arena)
+{
+    core::MemoTable rebuilt(arena.schema());
+    for (int t = 0; t < events::kNumEventTypes; ++t) {
+        auto type = static_cast<events::EventType>(t);
+        auto selected = arena.selectedVector(type);
+        if (!selected.empty())
+            rebuilt.setSelected(type, std::move(selected));
+    }
+    arena.visitRecords([&](const games::HandlerExecution &rec) {
+        rebuilt.insert(rec);
+    });
+    dest.mergeFrom(rebuilt);
+}
+
+/** Whether two tables freeze to the same arena bytes. */
+::testing::AssertionResult
+sameArena(const core::MemoTable &a, const core::MemoTable &b)
+{
+    auto fa = core::FrozenTable::freeze(a);
+    auto fb = core::FrozenTable::freeze(b);
+    if (fa->arenaSize() != fb->arenaSize())
+        return ::testing::AssertionFailure()
+               << "arena sizes " << fa->arenaSize() << " vs "
+               << fb->arenaSize();
+    if (std::memcmp(fa->arenaData(), fb->arenaData(),
+                    fa->arenaSize()) != 0)
+        return ::testing::AssertionFailure() << "arena bytes differ";
+    return ::testing::AssertionSuccess();
+}
+
 util::ByteBuffer
 randomBuffer(util::Rng &rng, size_t len)
 {
@@ -255,7 +293,7 @@ TEST(FleetDeltaTest, CorruptionFuzzFallback)
 
 TEST(FleetAggregateTest, ShardedMatchesSerialBitwise)
 {
-    // The tentpole contract: aggregateUploads at shard counts
+    // The aggregation contract: aggregateUploads at shard counts
     // {1, 2, 8} freezes to the exact arena bytes of the core serial
     // merge chain over the same uploads.
     const std::string game_name = "memory_game";
@@ -274,38 +312,28 @@ TEST(FleetAggregateTest, ShardedMatchesSerialBitwise)
         return dest;
     };
 
-    // Serial reference: the buildFederated chain.
+    // Serial reference: the rebuild-then-merge chain. The serial
+    // chain over the arenas themselves must match it.
     core::MemoTable serial = make_dest();
-    for (auto &up : uploads) {
-        util::ByteBuffer probe = copyOf(up);
-        util::Result<core::SnipModel> decoded =
-            core::unpackModel(probe);
+    core::MemoTable serial_arena = make_dest();
+    for (const auto &up : uploads) {
+        util::Result<core::SnipModel> decoded = core::unpackModel(up);
         ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-        serial.mergeFrom(*decoded.value().table);
+        mergeRebuilt(serial, *decoded.value().frozen);
+        serial_arena.mergeFrom(*decoded.value().frozen);
     }
-    auto serial_frozen = serial.freeze();
-    ASSERT_GT(serial_frozen->arenaSize(), 0u);
+    ASSERT_GT(serial.entryCount(), 0u);
+    EXPECT_TRUE(sameArena(serial_arena, serial));
 
     for (size_t shards : {1u, 2u, 8u}) {
         core::MemoTable dest = make_dest();
-        std::vector<util::ByteBuffer> ups;
-        for (const auto &u : uploads)
-            ups.push_back(copyOf(u));
         AggregateConfig cfg;
         cfg.shards = shards;
-        AggregateStats stats = aggregateUploads(dest, ups, cfg);
+        AggregateStats stats = aggregateUploads(dest, uploads, cfg);
         EXPECT_EQ(stats.uploads, kUploads);
         EXPECT_EQ(stats.dropped, 0u);
         EXPECT_EQ(stats.shards, shards);
-
-        auto frozen = dest.freeze();
-        ASSERT_EQ(frozen->arenaSize(), serial_frozen->arenaSize())
-            << shards << " shards";
-        EXPECT_EQ(std::memcmp(frozen->arenaData(),
-                              serial_frozen->arenaData(),
-                              frozen->arenaSize()),
-                  0)
-            << shards << " shards";
+        EXPECT_TRUE(sameArena(dest, serial)) << shards << " shards";
     }
 }
 
@@ -327,26 +355,22 @@ TEST(FleetAggregateTest, DropsCorruptUploadsLikeSerial)
     core::MemoTable serial(game->schema());
     for (const core::TypeModel &t : agreed.types)
         serial.setSelected(t.type, t.selection.selected);
-    for (auto &up : uploads) {
-        util::ByteBuffer probe = copyOf(up);
-        util::Result<core::SnipModel> decoded =
-            core::unpackModel(probe);
+    for (const auto &up : uploads) {
+        util::Result<core::SnipModel> decoded = core::unpackModel(up);
         if (decoded.ok())
-            serial.mergeFrom(*decoded.value().table);
+            mergeRebuilt(serial, *decoded.value().frozen);
     }
-    auto serial_frozen = serial.freeze();
 
-    core::MemoTable dest(game->schema());
-    for (const core::TypeModel &t : agreed.types)
-        dest.setSelected(t.type, t.selection.selected);
-    AggregateStats stats = aggregateUploads(dest, uploads, {});
-    EXPECT_EQ(stats.dropped, 2u);
-    auto frozen = dest.freeze();
-    ASSERT_EQ(frozen->arenaSize(), serial_frozen->arenaSize());
-    EXPECT_EQ(std::memcmp(frozen->arenaData(),
-                          serial_frozen->arenaData(),
-                          frozen->arenaSize()),
-              0);
+    for (size_t shards : {1u, 2u, 8u}) {
+        core::MemoTable dest(game->schema());
+        for (const core::TypeModel &t : agreed.types)
+            dest.setSelected(t.type, t.selection.selected);
+        AggregateConfig cfg;
+        cfg.shards = shards;
+        AggregateStats stats = aggregateUploads(dest, uploads, cfg);
+        EXPECT_EQ(stats.dropped, 2u);
+        EXPECT_TRUE(sameArena(dest, serial)) << shards << " shards";
+    }
 }
 
 // --------------------------------------------------------- registry

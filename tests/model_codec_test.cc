@@ -79,8 +79,8 @@ TEST(ModelCodecTest, RoundTripIsByteIdentical)
     for (const char *game : {"colorphun", "greenwall"}) {
         for (uint64_t seed : {7ull, 4242ull}) {
             SnipModel model = buildModelFor(game, 20.0, seed);
-            ASSERT_TRUE(model.table != nullptr);
-            ASSERT_GT(model.table->entryCount(), 0u);
+            ASSERT_TRUE(model.frozen != nullptr);
+            ASSERT_GT(model.frozen->entryCount(), 0u);
 
             util::ByteBuffer first;
             packModel(model, first);
@@ -155,9 +155,9 @@ TEST(ModelCodecTest, RoundTripPreservesModelContents)
         EXPECT_EQ(m.types[i].selection.full_error,
                   model.types[i].selection.full_error);
     }
-    ASSERT_TRUE(m.table != nullptr);
-    EXPECT_EQ(m.table->entryCount(), model.table->entryCount());
-    EXPECT_EQ(m.table->totalBytes(), model.table->totalBytes());
+    ASSERT_TRUE(m.frozen != nullptr);
+    EXPECT_EQ(m.frozen->entryCount(), model.frozen->entryCount());
+    EXPECT_EQ(m.tableBytes(), model.tableBytes());
     EXPECT_EQ(m.selectedBytes(), model.selectedBytes());
 }
 
@@ -393,7 +393,6 @@ TEST(ModelCodecTest, DeployModelZeroCopyRunsBitwiseIdentical)
     ASSERT_TRUE(dep.ok()) << dep.status().message();
     ASSERT_TRUE(dep.value().frozen != nullptr);
     EXPECT_TRUE(dep.value().frozen->zeroCopy());
-    EXPECT_TRUE(dep.value().table == nullptr);
 
     SimulationConfig cfg;
     cfg.duration_s = 20.0;

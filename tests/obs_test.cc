@@ -279,9 +279,8 @@ TEST(SchemeTelemetry, OnlineInsertsCountOverlayGrowthOnly)
     auto game = games::makeGame("colorphun");
     core::SnipModel model;
     model.game = game->name();
-    model.table =
-        std::make_unique<core::MemoTable>(game->schema());
-    model.table->setSelected(
+    core::MemoTable table(game->schema());
+    table.setSelected(
         events::EventType::Touch,
         game->necessaryInputIds(events::EventType::Touch));
     // One record memoized by the deployed (frozen) table.
@@ -289,7 +288,8 @@ TEST(SchemeTelemetry, OnlineInsertsCountOverlayGrowthOnly)
     events::EventObject frozen_ev =
         game->makeEvent(events::EventType::Touch, 0.0, rng);
     games::HandlerExecution frozen_truth = game->process(frozen_ev);
-    model.table->insert(frozen_truth);
+    table.insert(frozen_truth);
+    model.frozen = core::FrozenTable::freeze(table);
 
     Registry reg;
     core::SnipRuntimeConfig rcfg;

@@ -337,10 +337,15 @@ TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstTable)
         trace::Replayer::replay(res.trace, *replica);
     SnipConfig scfg;
     SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_GT(model.table->entryCount(), 0u);
+    MemoTable built(game->schema());  // the table the model froze
+    for (const auto &t : model.types)
+        built.setSelected(t.type, t.selection.selected);
+    for (const auto &rec : profile.records)
+        built.insert(rec);
+    ASSERT_GT(built.entryCount(), 0u);
 
     game->reset();
-    const MemoTable &table = *model.table;      // shared, const
+    const MemoTable &table = built;             // shared, const
     const games::Game &cgame = *game;           // shared, const
     const auto &events = res.trace.events;
     ASSERT_FALSE(events.empty());
@@ -402,12 +407,10 @@ TEST(ParallelRunnerTest, ConcurrentLookupsOnSharedConstFrozenTable)
         trace::Replayer::replay(res.trace, *replica);
     SnipConfig scfg;
     SnipModel model = buildSnipModel(profile, *game, scfg);
-    ASSERT_GT(model.table->entryCount(), 0u);
+    ASSERT_GT(model.frozen->entryCount(), 0u);
 
     game->reset();
-    std::shared_ptr<const FrozenTable> frozen =
-        model.table->freeze();
-    const FrozenTable &table = *frozen;         // shared, const
+    const FrozenTable &table = *model.frozen;   // shared, const
     const games::Game &cgame = *game;           // shared, const
     const auto &events = res.trace.events;
     ASSERT_FALSE(events.empty());

@@ -664,7 +664,7 @@ TEST(RecordLayout, EverySchemeSeesTheSameEventStream)
         scfg.min_records_per_type = 8;
         scfg.overrides.force_keep = game->params().recommended_overrides;
         core::SnipModel model = core::buildSnipModel(profile, *game, scfg);
-        ASSERT_NE(model.table, nullptr) << name;
+        ASSERT_NE(model.frozen, nullptr) << name;
 
         for (uint64_t seed : {0x5eedULL, 0xa11ceULL}) {
             core::SimulationConfig cfg;

@@ -143,7 +143,7 @@ mkdir -p build/fig_quick
 
 echo "==> micro_lookup smoke (hot-path, dedupe, process + event-gen zero-alloc, frozen equivalence)"
 ( cd build && ./bench/micro_lookup \
-    --benchmark_min_time=0.05s \
+    --benchmark_min_time=0.05 \
     --benchmark_out=micro_lookup_ci.json \
     --benchmark_out_format=json >/dev/null )
 python3 - <<'EOF'
