@@ -177,7 +177,7 @@ buildFederated(const std::string &game_name,
         federatedVotesNeeded(cfg.vote_fraction, cfg.num_users);
 
     out.model.game = game_name;
-    MemoTable fleet(game->schema());
+    MemoTable merged(game->schema());
     std::map<events::EventType, std::map<events::FieldId, size_t>>
         votes;
     for (const auto &local : locals)
@@ -199,7 +199,7 @@ buildFederated(const std::string &game_name,
                 selected.push_back(fv.first);
         if (selected.empty())
             continue;
-        fleet.setSelected(tv.first, selected);
+        merged.setSelected(tv.first, selected);
         TypeModel tm;
         tm.type = tv.first;
         tm.records = type_records[static_cast<int>(tv.first)];
@@ -228,11 +228,11 @@ buildFederated(const std::string &game_name,
                        decoded.status().message().c_str());
             continue;
         }
-        fleet.mergeFrom(*decoded.value().frozen);
+        merged.mergeFrom(*decoded.value().frozen);
     }
     // The merge operates on the mutable table; freeze the aggregate
     // into the model's table once all uploads are unioned.
-    out.model.frozen = FrozenTable::freeze(fleet);
+    out.model.frozen = FrozenTable::freeze(merged);
     return out;
 }
 

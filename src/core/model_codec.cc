@@ -140,7 +140,7 @@ encodeHead(const SnipModel &model, util::ByteBuffer &buf)
  * per-type selection metadata and the has-table flag.
  */
 util::Status
-decodeMeta(util::ByteReader &r, SnipModel *model,
+decodeHead(util::ByteReader &r, SnipModel *model,
            events::FieldSchema *schema, bool *has_table)
 {
     model->game = r.str();
@@ -317,7 +317,7 @@ deployModel(std::shared_ptr<util::ByteBuffer> pkg)
     SnipModel model;
     events::FieldSchema schema;
     bool has_table = false;
-    st = decodeMeta(r, &model, &schema, &has_table);
+    st = decodeHead(r, &model, &schema, &has_table);
     if (!st.ok())
         return st;
     if (has_table) {

@@ -870,6 +870,38 @@ TEST(Schemes, FactoryRequiresModelForSnip)
     util::setThrowOnError(prev);
 }
 
+// A scheme shares its model's arena and keeps nothing else of the
+// model, so it must keep deciding after the model is destroyed (asan
+// in CI catches a dangling read). A model without a table is a usage
+// error.
+TEST(Schemes, SnipSchemeOutlivesItsModel)
+{
+    auto game = games::makeGame("colorphun");
+    std::unique_ptr<SnipScheme> s;
+    {
+        SnipModel model;
+        model.game = game->name();
+        MemoTable table(game->schema());
+        table.setSelected(
+            events::EventType::Touch,
+            game->necessaryInputIds(events::EventType::Touch));
+        util::Rng fill(6);
+        for (int i = 0; i < 32; ++i)
+            table.insert(game->process(
+                game->makeEvent(events::EventType::Touch, 0.0, fill)));
+        model.frozen = FrozenTable::freeze(table);
+        s = std::make_unique<SnipScheme>(model);
+    }
+    SimulationConfig cfg;
+    cfg.duration_s = 10.0;
+    SessionResult res = runSession(*game, *s, cfg);
+    EXPECT_GT(res.stats.lookup_bytes, 0u);
+
+    bool prev = util::setThrowOnError(true);
+    EXPECT_THROW(SnipScheme(SnipModel{}), std::runtime_error);
+    util::setThrowOnError(prev);
+}
+
 TEST(Schemes, Names)
 {
     EXPECT_STREQ(schemeName(SchemeKind::Baseline), "Baseline");
